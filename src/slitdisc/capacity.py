@@ -4,16 +4,22 @@ Closed forms (circle R -> R, arc -> R sin(w/2), segment L -> L/4, point -> 0)
 are the exact reference path and the only one that survives the family's
 underflowing arc widths.  The Fekete oracle maximizes the pairwise log-distance
 sum of n points over the set's parameterization and converts the optimum to a
-transfinite-diameter estimate; the equilibrium routine discretizes the energy
-functional over midpoint cells.  All distance logs inside one circle or
-segment come from chord formulas so near-coincident points keep finite logs.
+transfinite-diameter estimate.  It moves every point at once by a safeguarded
+diagonal-Newton ascent: each step is clipped to half the gap to each
+neighbour and halved until the energy does not fall.  On one arc, circle or
+segment the energy is concave on the ordered cone, so one start reaches the
+unique optimum (the Gauss-Lobatto points on a segment); a union of several
+pieces runs _N_STARTS starts to convergence and keeps the best.  The
+equilibrium routine discretizes the energy functional over midpoint cells.
+All distance logs inside one circle or segment come from chord formulas so
+near-coincident points keep finite logs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -25,7 +31,6 @@ from .geometry import (
     PointObstacle,
     SegmentObstacle,
 )
-from .numerics import golden_max
 
 NEG_INF = float("-inf")
 
@@ -223,6 +228,28 @@ class _ParamPiece:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(s - t))
 
+    def derivatives(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives of points(s) in s."""
+        if self.kind == "arc":
+            w = self.radius * np.exp(1j * s)
+            return 1j * w, -w
+        direction = (self.z1 - self.z0) / abs(self.z1 - self.z0)
+        return np.full(s.shape, direction), np.zeros(s.shape, dtype=complex)
+
+    def chord_slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian diagonal, in each parameter, of the sum of
+        chord logs between the points of THIS piece at parameters s."""
+        d = s[:, None] - s[None, :]
+        np.fill_diagonal(d, 1.0)  # any nonzero value; the diagonal terms are dropped
+        if self.kind == "arc":
+            g, h = 0.5 / np.tan(0.5 * d), -0.25 / np.sin(0.5 * d) ** 2
+        else:
+            g = 1.0 / d
+            h = -(g**2)
+        np.fill_diagonal(g, 0.0)
+        np.fill_diagonal(h, 0.0)
+        return g.sum(axis=1), h.sum(axis=1)
+
 
 def _parameterize(cs: SetLike) -> list[_ParamPiece]:
     pieces = cs.pieces if isinstance(cs, CompactSet) else (cs,)
@@ -270,8 +297,10 @@ class FeketeResult:
     raw_log_dn: float  # 2 E / (n (n-1)), the plain transfinite-diameter estimate
     corrected_log_dn: float  # raw with the (n/2) log n normalization removed
     points: tuple[complex, ...]
-    sweeps: int
-    n_starts: int
+    sweeps: int  # ascent iterations of the kept start
+    n_starts: int  # starts actually run: 1 on a single piece, _N_STARTS on a union
+    converged: bool  # the last step gained less than SWEEP_GAIN_STOP
+    final_gain: float  # energy gained by the last step
 
 
 def _allocate(lengths: Sequence[float], n: int) -> list[int]:
@@ -296,8 +325,12 @@ class _Configuration:
 
     def __init__(self, pieces: list[_ParamPiece], params: list[np.ndarray]):
         self.pieces = pieces
-        self.params = [np.asarray(p, dtype=float) for p in params]
+        self._place([np.asarray(p, dtype=float) for p in params])
+
+    def _place(self, params: list[np.ndarray]) -> None:
+        self.params = params
         self.positions = [pc.points(p) for pc, p in zip(self.pieces, self.params)]
+        self.value = self.energy()
 
     def energy(self) -> float:
         E = 0.0
@@ -311,51 +344,50 @@ class _Configuration:
                     E += float(np.sum(np.log(d)))
         return E
 
-    def _objective(self, pi: int, idx: int) -> Callable[[float], float]:
-        pc = self.pieces[pi]
-        th_others = np.delete(self.params[pi], idx)
+    def _newton_step(self, pi: int) -> np.ndarray:
+        """Diagonal-Newton step of every point of piece pi, clipped to its room."""
+        pc, th = self.pieces[pi], self.params[pi]
+        g, h = pc.chord_slopes(th)
         foreign = [self.positions[qj] for qj in range(len(self.pieces)) if qj != pi]
-        flat_foreign = np.concatenate(foreign) if foreign else np.empty(0, dtype=complex)
+        if foreign:
+            dz, ddz = pc.derivatives(th)
+            u_bar = np.conj(self.positions[pi][:, None] - np.concatenate(foreign)[None, :])
+            inv = 1.0 / np.abs(u_bar) ** 2
+            slope = (dz[:, None] * u_bar).real * inv
+            g = g + slope.sum(axis=1)
+            h = h + ((ddz[:, None] * u_bar).real * inv + np.abs(dz)[:, None] ** 2 * inv - 2.0 * slope**2).sum(axis=1)
+        # Newton where the energy curves down in this coordinate, gradient elsewhere
+        step = np.divide(-g, h, out=g.copy(), where=h < 0.0)
+        # half the gap to each neighbour, so no two points can pass each other;
+        # the end points of a non-periodic piece may reach lo / hi
+        order = np.argsort(th)
+        srt = th[order]
+        if pc.periodic:
+            half_gaps = 0.5 * np.diff(np.append(srt, srt[0] + 2.0 * math.pi))
+            room_up, room_down = half_gaps, np.roll(half_gaps, 1)
+        else:
+            half_gaps = 0.5 * np.diff(srt)
+            room_up = np.append(half_gaps, pc.hi - srt[-1])
+            room_down = np.insert(half_gaps, 0, srt[0] - pc.lo)
+        up, down = np.empty_like(th), np.empty_like(th)
+        up[order], down[order] = room_up, room_down
+        return np.clip(step, -down, up)
 
-        def f(s: float) -> float:
-            val = float(np.sum(pc.chord_log(np.float64(s), th_others))) if th_others.size else 0.0
-            if flat_foreign.size:
-                z = pc.points(np.asarray([s]))[0]
-                with np.errstate(divide="ignore"):
-                    val += float(np.sum(np.log(np.abs(z - flat_foreign))))
-            return val
+    def ascend(self) -> float:
+        """One safeguarded diagonal-Newton step of every point at once; returns the gain.
 
-        return f
-
-    def sweep(self) -> float:
-        """One pass of per-point golden-section refinement; returns the gain."""
-        gained = 0.0
-        for pi, pc in enumerate(self.pieces):
-            th = self.params[pi]
-            npts = len(th)
-            order = np.argsort(th, kind="stable")
-            tol = 1e-11 * max(pc.span, 1e-30)
-            for rank, idx in enumerate(order):
-                f = self._objective(pi, idx)
-                if npts == 1:
-                    lo_b, hi_b = pc.lo, pc.hi
-                elif pc.periodic:
-                    left = th[order[rank - 1]] if rank > 0 else th[order[-1]] - 2.0 * math.pi
-                    right = th[order[rank + 1]] if rank + 1 < npts else th[order[0]] + 2.0 * math.pi
-                    lo_b, hi_b = left, right
-                else:
-                    lo_b = th[order[rank - 1]] if rank > 0 else pc.lo
-                    hi_b = th[order[rank + 1]] if rank + 1 < npts else pc.hi
-                if hi_b - lo_b <= tol:
-                    continue
-                f_old = f(th[idx])
-                s_new = golden_max(f, lo_b, hi_b, tol)
-                f_new = f(s_new)
-                if f_new > f_old:
-                    th[idx] = s_new
-                    self.positions[pi][idx] = pc.points(np.asarray([s_new]))[0]
-                    gained += f_new - f_old
-        return gained
+        The step is halved until the energy does not fall; a step that never
+        stops lowering it leaves the configuration unchanged and gains 0.
+        """
+        old, before = self.params, self.value
+        steps = [self._newton_step(pi) for pi in range(len(self.pieces))]
+        for _ in range(_MAX_HALVINGS):
+            self._place([th + d for th, d in zip(old, steps)])
+            if self.value >= before:
+                return self.value - before
+            steps = [0.5 * d for d in steps]
+        self._place(old)
+        return 0.0
 
 
 def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
@@ -368,42 +400,34 @@ def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.ran
 
 
 SWEEP_GAIN_STOP = 1e-10
-_PHASE1_SWEEPS = 40
 _MAX_SWEEPS = 600
+# 53 halvings shrink a step by the 2^-53 of double precision
+_MAX_HALVINGS = 53
 _N_STARTS = 8
 
 
-def _optimize(cs: SetLike, n: int, seed: int, n_starts: int = _N_STARTS) -> FeketeResult:
+def _optimize(cs: SetLike, n: int, seed: int) -> FeketeResult:
     pieces = _parameterize(cs)
     if not pieces:
         raise ValueError("polar set has no Fekete configuration")
     counts = _allocate([pc.arclength for pc in pieces], n)
 
-    # phase 1: run every start a bounded number of sweeps, keep states
-    survivors: list[tuple[float, _Configuration, int, bool]] = []
+    # on one piece the energy is concave on the ordered cone, so one start
+    # reaches its unique optimum; a union may hold local optima
+    n_starts = 1 if len(pieces) == 1 else _N_STARTS
+    best: tuple[_Configuration, int, float] | None = None
     for s_idx in range(n_starts):
         rng = np.random.default_rng((int(seed), s_idx))
         cfg = _Configuration(pieces, _seeded_params(pieces, counts, rng))
-        done = False
-        sweeps = 0
-        for _ in range(_PHASE1_SWEEPS):
-            gain = cfg.sweep()
+        sweeps, gain = 0, math.inf
+        while gain >= SWEEP_GAIN_STOP and sweeps < _MAX_SWEEPS:
+            gain = cfg.ascend()
             sweeps += 1
-            if gain < SWEEP_GAIN_STOP:
-                done = True
-                break
-        survivors.append((cfg.energy(), cfg, sweeps, done))
+        if best is None or cfg.value > best[0].value:
+            best = (cfg, sweeps, gain)
+    cfg, sweeps, gain = best
 
-    # phase 2: only the best start refines to convergence
-    best_idx = max(range(n_starts), key=lambda i: (survivors[i][0], -i))
-    energy, cfg, sweeps, done = survivors[best_idx]
-    while not done and sweeps < _MAX_SWEEPS:
-        gain = cfg.sweep()
-        sweeps += 1
-        if gain < SWEEP_GAIN_STOP:
-            done = True
-    energy = cfg.energy()
-
+    energy = cfg.value
     pts = tuple(complex(z) for z in np.concatenate(cfg.positions))
     pair_count = n * (n - 1) / 2.0
     raw = energy / pair_count
@@ -416,6 +440,8 @@ def _optimize(cs: SetLike, n: int, seed: int, n_starts: int = _N_STARTS) -> Feke
         points=pts,
         sweeps=sweeps,
         n_starts=n_starts,
+        converged=gain < SWEEP_GAIN_STOP,
+        final_gain=gain,
     )
 
 

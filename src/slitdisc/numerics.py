@@ -10,10 +10,9 @@ back to a guarded comparison with an explicit boundary warning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 Real = Union[int, float, Fraction]
 
@@ -21,8 +20,6 @@ Real = Union[int, float, Fraction]
 EXP_OVERFLOW = 709.0
 # exp() underflows to 0.0 below roughly -745.1
 EXP_UNDERFLOW = -745.0
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def is_exact(x: Real) -> bool:
@@ -54,15 +51,15 @@ class GuardedComparison:
 def le_guarded(a: Real, b: Real, rel_guard: float = 1e-15) -> GuardedComparison:
     """a <= b, exact for rationals, guarded for floats.
 
-    Float pairs within rel_guard (relative to the larger magnitude, floored
-    at 1) of each other are treated as equal: the comparison answers True
-    (inclusive boundary) and raises the warning flag so reports can surface
-    that the verdict sits inside the guard band.
+    Float pairs within rel_guard of each other, relative to the larger
+    magnitude at every scale, are treated as equal: the comparison answers
+    True (inclusive boundary) and raises the warning flag so reports can
+    surface that the verdict sits inside the guard band.
     """
     if is_exact(a) and is_exact(b):
         return GuardedComparison(result=(a <= b), boundary_warning=False)
     fa, fb = float(a), float(b)
-    scale = max(abs(fa), abs(fb), 1.0)
+    scale = max(abs(fa), abs(fb))
     if fa != fb and abs(fa - fb) <= rel_guard * scale:
         return GuardedComparison(result=True, boundary_warning=True)
     return GuardedComparison(result=(fa <= fb), boundary_warning=(fa == fb))
@@ -128,34 +125,3 @@ def pow_maybe_exact(base: Real, exponent: Real) -> Real:
         if got is not None:
             return got
     return float(base) ** float(exponent)
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of f on [lo, hi].
-
-    Assumes f is unimodal on the interval (the per-coordinate Fekete
-    objectives are concave within a neighbor gap); returns the midpoint of
-    the final bracket.
-    """
-    a, b = lo, hi
-    h = b - a
-    if h <= tol:
-        return 0.5 * (a + b)
-    c = b - _INVPHI * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    while h > tol:
-        if fc >= fd:
-            b = d
-            d, fd = c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = f(c)
-        else:
-            a = c
-            c, fc = d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return 0.5 * (a + b)

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
+from slitdisc import capacity
 from slitdisc.capacity import (
     DiscreteMeasure,
     EquilibriumError,
@@ -167,6 +170,48 @@ def test_fekete_multi_piece_allocation():
     lc_union = fekete_log_capacity(both, 16, seed=0)
     lc_single = log_capacity(a)
     assert lc_union.log_value > lc_single.log_value
+    # a union may hold local optima, so every start runs to convergence
+    res = fekete_points(both, 16, seed=0)
+    assert res.n_starts == 8 and res.converged
+
+
+def test_fekete_reports_a_capped_ascent(monkeypatch):
+    monkeypatch.setattr(capacity, "_MAX_SWEEPS", 2)
+    res = fekete_points(circle(1.0), 16, seed=0)
+    assert res.sweeps == 2 and not res.converged
+    assert res.final_gain >= capacity.SWEEP_GAIN_STOP
+
+
+def test_fekete_segment_is_gauss_lobatto_n64():
+    # the Fekete set of [-1, 1] is +-1 and the zeros of P'_{n-1} (Stieltjes)
+    n = 64
+    inner = np.real(legendre.Legendre.basis(n - 1).deriv().roots())
+    x = np.concatenate([[-1.0], inner, [1.0]])
+    i, j = np.triu_indices(n, k=1)
+    want = float(np.sum(np.log(np.abs(x[i] - x[j]))))
+    res = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), n, seed=0)
+    assert res.n_starts == 1 and res.converged
+    assert res.energy == pytest.approx(want, rel=1e-10)
+    assert -1 + 0j in res.points and 1 + 0j in res.points
+
+
+def test_fekete_circle_is_equispaced_n64():
+    n = 64
+    res = fekete_points(circle(1.0), n, seed=0)
+    assert res.n_starts == 1 and res.converged
+    assert res.energy == pytest.approx(0.5 * n * math.log(n), rel=1e-10)
+    angles = np.sort(np.angle(np.array(res.points)))
+    gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
+    assert np.ptp(gaps) < 1e-6
+
+
+def test_fekete_single_start_matches_best_of_eight_seeds():
+    # the energy on one arc is concave on the ordered cone: one start suffices
+    quarter = arc(1.0, 0.0, math.pi / 4)
+    one = fekete_points(quarter, 16, seed=0)
+    best = max(fekete_points(quarter, 16, seed=s).energy for s in range(8))
+    assert one.n_starts == 1
+    assert one.energy == pytest.approx(best, rel=1e-10)
 
 
 def test_equilibrium_circle():

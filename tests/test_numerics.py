@@ -1,11 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
 
 from slitdisc.numerics import (
     exact_pow,
-    golden_max,
     is_exact,
     le_guarded,
     parse_number,
@@ -40,6 +38,15 @@ def test_le_guarded_float_guard_band():
     assert not cmp3.result and not cmp3.boundary_warning
 
 
+def test_le_guarded_band_is_relative_below_one():
+    # 5e-16 vs 1e-16 are a factor 5 apart, far outside a 1e-15 relative band
+    cmp = le_guarded(5e-16, 1e-16)
+    assert not cmp.result and not cmp.boundary_warning
+    a = 1e-20 * (1 + 2**-52)
+    tie = le_guarded(a, 1e-20)
+    assert tie.result and tie.boundary_warning
+
+
 def test_power_preserves_exactness():
     assert power(Fraction(1, 5), 3) == Fraction(1, 125)
     assert isinstance(power(Fraction(1, 5), 3), Fraction)
@@ -60,12 +67,3 @@ def test_pow_maybe_exact_fallback():
     got = pow_maybe_exact(Fraction(1, 2), Fraction(1, 3))
     assert isinstance(got, float) and got == pytest.approx(0.5 ** (1 / 3), rel=1e-15)
 
-
-def test_golden_max_quadratic():
-    got = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, tol=1e-12)
-    assert got == pytest.approx(0.3, abs=1e-10)
-
-
-def test_golden_max_endpoint():
-    got = golden_max(math.sin, 0.0, 1.0, tol=1e-12)
-    assert got == pytest.approx(1.0, abs=1e-9)

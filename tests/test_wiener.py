@@ -134,6 +134,13 @@ def test_threshold_float_guard_band():
     assert FLAG_GUARD_BAND not in clean.flags
 
 
+def test_threshold_guard_band_relative_for_tiny_floats():
+    # r^2 = 5t, so neither threshold holds; an absolute 1e-15 band would tie r^2 with t
+    rep = threshold_report(ParamRT(math.sqrt(5e-16), 1e-16))
+    assert rep.classification is Classification.UNKNOWN
+    assert FLAG_GUARD_BAND not in rep.flags
+
+
 def test_divergence_ratio_exactness():
     assert divergence_ratio(ParamRT(F(1, 5), F(3, 10)), 0) == F(15, 2)
     assert isinstance(divergence_ratio(ParamRT(0.2, 0.3), 0), float)
