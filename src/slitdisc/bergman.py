@@ -2,9 +2,15 @@
 
 K_D(z) = sup |f(z)|^2 / ||f||^2 over L^2-holomorphic f is computed as the
 finite-basis supremum e* G^{-1} e with G the Gram matrix of scaled monomials
-(z/R)^n (Laurent powers on annuli).  The derivative functional I_D(z,1) uses
-the same quadratic form over the subspace f(z) = 0, imposed by deflating the
-evaluation vector, and the metric is the classical quotient beta_D = I/K.
+(z/R)^n (Laurent powers on annuli).  Every supported domain is radially
+symmetric, so distinct powers are orthogonal and G is diagonal: its entries
+are the radial moments g_n = 2 pi int (s/R)^(2n) s ds, taken by 1-D
+Gauss-Legendre on radial panels, and K = sum |e_n|^2 / g_n.  The derivative
+functional I_D(z,1) is the same quadratic form over the subspace f(z) = 0,
+I = A - |c|^2/K with A = sum |d_n|^2 / g_n and c = sum conj(e_n) d_n / g_n
+(d the derivative evaluation vector), and the metric is the classical
+quotient beta_D = I/K.  All three are sums over the basis, so one vectorised
+pass serves any number of points.
 
 The engine deliberately refuses domains with arc or segment obstacles: their
 Bergman space strictly exceeds restrictions of disc functions, and a monomial
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +34,15 @@ from .geometry import (
 )
 
 CONDITION_CAP = 1e14
-HERMITIAN_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tensor polar quadrature: Gauss-Legendre radial nodes per panel times a
-    uniform angular grid (exact for the trig polynomials the bases produce)."""
+    """Polar quadrature: `radial_order` Gauss-Legendre nodes per radial panel.
+
+    The angular integral of |(z/R)^n|^2 is exactly 2 pi, so no angular grid is
+    built.  `angular_points` is only validated (and checked against the basis
+    degree by `gram_matrix`), for callers that still size it."""
 
     radial_order: int = 64
     angular_points: int = 512
@@ -84,9 +93,9 @@ class KernelEstimate:
     metric: float  # beta_D(z) = I/K
     derivative_functional: float  # I_D(z, 1)
     basis_size: int
-    quad_points: int
-    error_proxy: float  # relative K change when the top basis function is dropped
-    condition: float  # 2-norm condition number of the Gram matrix
+    quad_points: int  # radial quadrature nodes
+    error_proxy: float  # relative K change from dropping an end basis function (the larger end on a Laurent basis)
+    condition: float  # 2-norm condition number of the Gram matrix, max(g)/min(g)
 
 
 def _radial_profile(domain: DomainSpec) -> tuple[float, float]:
@@ -106,108 +115,107 @@ def _radial_profile(domain: DomainSpec) -> tuple[float, float]:
     return rho, domain.outer_radius
 
 
-def _quadrature_nodes(domain: DomainSpec, quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Node locations and positive area weights for the tensor polar rule."""
+def _radial_edges(domain: DomainSpec) -> list[float]:
+    """Radial panel edges: the inner radius, the radii of point obstacles
+    between, and the outer radius."""
     rho, R = _radial_profile(domain)
     cuts = sorted(
         {abs(ob.location) for ob in domain.obstacles if isinstance(ob, PointObstacle) and rho < abs(ob.location) < R}
     )
-    edges = [rho, *cuts, R]
-    x, wx = np.polynomial.legendre.leggauss(quad.radial_order)
-    s_parts = []
-    ws_parts = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        s_parts.append(half * x + 0.5 * (a + b))
-        ws_parts.append(half * wx)
-    s = np.concatenate(s_parts)
-    ws = np.concatenate(ws_parts)
-    m = quad.angular_points
-    theta = 2.0 * np.pi * np.arange(m) / m
-    nodes = (s[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    weights = ((ws * s)[:, None] * np.full(m, 2.0 * np.pi / m)[None, :]).ravel()
-    return nodes, weights
+    return [rho, *cuts, R]
 
 
-def _basis_values(basis: BasisSpec, z: np.ndarray) -> np.ndarray:
-    w = np.asarray(z, dtype=complex) / basis.domain.outer_radius
-    return np.power(w[..., None], basis.degrees)
-
-
-def _basis_derivatives(basis: BasisSpec, z: complex) -> np.ndarray:
-    R = basis.domain.outer_radius
-    w = complex(z) / R
-    out = np.zeros(basis.size, dtype=complex)
-    for i, d in enumerate(basis.degrees):
-        if d == 0:
-            continue  # constant term: derivative 0 even at w = 0
-        out[i] = (d / R) * w ** (d - 1)
-    return out
+@lru_cache(maxsize=8)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
+    shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gram_matrix(basis: BasisSpec, quad: QuadratureConfig) -> np.ndarray:
-    """Inner-product matrix <b_i, b_j> over the domain's area measure."""
+    """Diagonal of the Gram matrix, g_n = <b_n, b_n> = 2 pi int (s/R)^(2n) s ds
+    over the radial panels; the off-diagonal entries vanish by radial symmetry."""
     max_abs_degree = int(max(abs(basis.min_degree), abs(basis.max_degree)))
     if quad.angular_points < 4 * max_abs_degree + 8:
         raise ValueError(
             f"angular_points {quad.angular_points} too coarse for max degree {max_abs_degree}; "
             f"need at least {4 * max_abs_degree + 8}"
         )
-    nodes, weights = _quadrature_nodes(basis.domain, quad)
-    B = _basis_values(basis, nodes)
-    G = (B.conj().T * weights) @ B
-    scale = float(np.max(np.abs(G)))
-    asym = float(np.max(np.abs(G - G.conj().T)))
-    if asym > HERMITIAN_TOL * scale:
-        raise ValueError(f"Gram matrix asymmetry {asym:.3e} exceeds tolerance; quadrature inconsistent")
-    return 0.5 * (G + G.conj().T)
+    edges = np.array(_radial_edges(basis.domain))
+    x, wx = _legendre_rule(quad.radial_order)
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    ws = (half * wx).ravel()
+    powers = (s / basis.domain.outer_radius)[:, None] ** (2 * basis.degrees)
+    g = 2.0 * np.pi * ((ws * s) @ powers)
+    if not np.all(np.isfinite(g) & (g > 0.0)):
+        raise ValueError("Gram norms not all finite and positive; quadrature inconsistent")
+    return g
 
 
-class _KernelEngine:
-    """One Gram assembly + factorization, many point estimates."""
+class KernelEngine:
+    """One Gram computation, then kernel and metric at any number of points."""
 
     def __init__(self, basis: BasisSpec, quad: QuadratureConfig):
         self.basis = basis
         self.quad = quad
-        self.gram = gram_matrix(basis, quad)
-        self.condition = float(np.linalg.cond(self.gram))
+        self.norms = gram_matrix(basis, quad)
+        self.condition = float(np.max(self.norms) / np.min(self.norms))
         if not (self.condition < CONDITION_CAP):
             raise ValueError(
                 f"Gram matrix condition {self.condition:.3e} exceeds {CONDITION_CAP:.0e}; use a smaller basis"
             )
-        self.quad_points = len(_quadrature_nodes(basis.domain, quad)[0])
-        self._chol = np.linalg.cholesky(self.gram)
+        self.quad_points = (len(_radial_edges(basis.domain)) - 1) * quad.radial_order
+        self._rho, self._R = _radial_profile(basis.domain)
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(self._chol, rhs)
-        return np.linalg.solve(self._chol.conj().T, y)
+    def _check_inside(self, zs: np.ndarray) -> None:
+        r = np.abs(zs)
+        inside = (r < self._R) & ((self._rho < r) | (self._rho == 0.0))
+        if not inside.all():
+            raise ValueError(f"point {complex(zs[np.argmin(inside)])} not inside the domain's area")
+        for z in zs.tolist():
+            for ob in self.basis.domain.obstacles:
+                if _point_on_obstacle(z, ob):
+                    raise ValueError(f"point {z} lies on an obstacle")
 
-    def _check_inside(self, z: complex) -> None:
-        rho, R = _radial_profile(self.basis.domain)
-        if not (rho < abs(z) < R or (rho == 0.0 and abs(z) < R)):
-            raise ValueError(f"point {z} not inside the domain's area")
-        for ob in self.basis.domain.obstacles:
-            if _point_on_obstacle(complex(z), ob):
-                raise ValueError(f"point {z} lies on an obstacle")
+    def _forms(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluation vectors e (one row per point), K and I at the points zs."""
+        self._check_inside(zs)
+        deg = self.basis.degrees
+        R = self.basis.domain.outer_radius
+        w = zs[:, None] / R
+        e = w**deg
+        # the constant's derivative is 0, even at w = 0
+        d = (deg / R) * w ** np.where(deg == 0, 0, deg - 1)
+        g = self.norms
+        K = np.sum(np.abs(e) ** 2 / g, axis=1)
+        bad = np.flatnonzero(~(K > 0.0))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"kernel estimate {K[i]} not positive; basis cannot represent evaluation at {complex(zs[i])}"
+            )
+        A = np.sum(np.abs(d) ** 2 / g, axis=1)
+        c = np.sum(e.conj() * d / g, axis=1)
+        return e, K, A - np.abs(c) ** 2 / K
+
+    def metric(self, zs) -> np.ndarray:
+        """beta_D = I/K at every point of zs, in one vectorised pass."""
+        _, K, I = self._forms(np.asarray(zs, dtype=complex).ravel())
+        return I / K
 
     def estimate(self, z: complex) -> KernelEstimate:
-        self._check_inside(z)
-        e = _basis_values(self.basis, np.asarray(z)).ravel()
-        d = _basis_derivatives(self.basis, z)
-        u = self._solve(e)
-        v = self._solve(d)
-        K = float(np.real(np.vdot(e, u)))
-        if not (K > 0.0):
-            raise ValueError(f"kernel estimate {K} not positive; basis cannot represent evaluation at {z}")
-        A = float(np.real(np.vdot(d, v)))
-        c = complex(np.vdot(e, v))
-        I = A - abs(c) ** 2 / K
-        # drop the top basis function for a same-grid convergence proxy
+        e, K, I = self._forms(np.array([complex(z)]))
+        e, K, I = e[0], float(K[0]), float(I[0])
+        # with a diagonal Gram, dropping an end basis function lowers K by its term
         if self.basis.size > 1:
-            G_small = self.gram[:-1, :-1]
-            e_small = e[:-1]
-            K_small = float(np.real(np.vdot(e_small, np.linalg.solve(G_small, e_small))))
-            proxy = abs(K - K_small) / K
+            dropped = abs(e[-1]) ** 2 / self.norms[-1]
+            if self.basis.min_degree < 0:
+                dropped = max(dropped, abs(e[0]) ** 2 / self.norms[0])
+            proxy = float(dropped / K)
         else:
             proxy = math.inf
         return KernelEstimate(
@@ -223,33 +231,30 @@ class _KernelEngine:
 
 
 def kernel_at(basis: BasisSpec, quad: QuadratureConfig, z: complex) -> KernelEstimate:
-    """Finite-basis Bergman data at one point; see _KernelEngine for reuse."""
-    return _KernelEngine(basis, quad).estimate(z)
+    """Finite-basis Bergman data at one point; see KernelEngine for reuse."""
+    return KernelEngine(basis, quad).estimate(z)
 
 
-def metric_path_length(
-    basis: BasisSpec, quad: QuadratureConfig, path: tuple[complex, ...], samples: int = 257
-) -> float:
-    """Composite-trapezoid Bergman length of a polyline: integral of
-    sqrt(beta) with respect to arclength."""
-    pts = [complex(p) for p in path]
+def _path_samples(path: tuple[complex, ...], samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arclength grid and the arclength-uniform points on the polyline."""
+    pts = np.array([complex(p) for p in path])
     if len(pts) < 2:
         raise ValueError("path needs at least two waypoints")
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    seg_lengths = [abs(b - a) for a, b in zip(pts[:-1], pts[1:])]
-    total = sum(seg_lengths)
-    if total == 0.0:
+    seg = np.abs(np.diff(pts))
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    s_grid = np.linspace(0.0, cum[-1], samples)
+    j = np.minimum(np.searchsorted(cum, s_grid, side="right") - 1, len(pts) - 2)
+    frac = np.divide(s_grid - cum[j], seg[j], out=np.zeros(samples), where=seg[j] > 0.0)
+    return s_grid, pts[j] + frac * (pts[j + 1] - pts[j])
+
+
+def metric_path_length(engine: KernelEngine, path: tuple[complex, ...], samples: int = 257) -> float:
+    """Composite-trapezoid Bergman length of a polyline: integral of
+    sqrt(beta) with respect to arclength, every sample in one engine pass."""
+    s_grid, zs = _path_samples(path, samples)
+    if s_grid[-1] == 0.0:
         return 0.0
-    # arclength-uniform samples along the polyline
-    s_grid = np.linspace(0.0, total, samples)
-    cum = np.concatenate([[0.0], np.cumsum(seg_lengths)])
-    zs = np.empty(samples, dtype=complex)
-    for i, s in enumerate(s_grid):
-        j = int(np.searchsorted(cum, s, side="right") - 1)
-        j = min(j, len(pts) - 2)
-        frac = 0.0 if seg_lengths[j] == 0.0 else (s - cum[j]) / seg_lengths[j]
-        zs[i] = pts[j] + frac * (pts[j + 1] - pts[j])
-    engine = _KernelEngine(basis, quad)
-    integrand = np.array([math.sqrt(max(engine.estimate(z).metric, 0.0)) for z in zs])
+    integrand = np.sqrt(np.maximum(engine.metric(zs), 0.0))
     return float(np.trapezoid(integrand, s_grid))

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .bergman import BasisSpec, QuadratureConfig, metric_path_length, _KernelEngine
+from .bergman import BasisSpec, KernelEngine, QuadratureConfig, metric_path_length
 from .capacity import (
     arc_log_capacity,
     disc_log_capacity,
@@ -226,12 +226,12 @@ def cmd_kernel(args) -> dict:
         dom = annulus(float(parse_number(args.inner_radius)))
     basis = BasisSpec(domain=dom, max_degree=args.max_degree, min_degree=args.min_degree)
     quad = QuadratureConfig(radial_order=args.radial_order, angular_points=args.angular_points)
-    engine = _KernelEngine(basis, quad)
+    engine = KernelEngine(basis, quad)
     results: dict = {"estimate": engine.estimate(_parse_complex(args.z))}
     if args.path:
         pts = tuple(_parse_complex(p) for p in args.path)
         results["path"] = pts
-        results["path_length"] = metric_path_length(basis, quad, pts, samples=args.samples)
+        results["path_length"] = metric_path_length(engine, pts, samples=args.samples)
     return results
 
 

@@ -6,14 +6,16 @@ import pytest
 
 from slitdisc.bergman import (
     BasisSpec,
+    KernelEngine,
     QuadratureConfig,
+    _path_samples,
     gram_matrix,
     kernel_at,
     laurent,
     metric_path_length,
     monomials,
 )
-from slitdisc.geometry import ParamRT, annulus, build_domain, punctured_disc, unit_disc
+from slitdisc.geometry import DiscObstacle, ParamRT, PointObstacle, annulus, build_domain, punctured_disc, unit_disc
 
 QUAD = QuadratureConfig()
 
@@ -22,28 +24,64 @@ def disc_kernel(z: complex) -> float:
     return 1.0 / (math.pi * (1.0 - abs(z) ** 2) ** 2)
 
 
+def dense_gram(basis: BasisSpec, quad: QuadratureConfig) -> np.ndarray:
+    """Reference Gram matrix from the 2-D tensor polar rule: Gauss-Legendre
+    radial nodes on each panel (split at point obstacles) times a uniform
+    angular grid of quad.angular_points, summed densely over all nodes."""
+    dom = basis.domain
+    R = dom.outer_radius
+    rho = max([ob.radius for ob in dom.obstacles if isinstance(ob, DiscObstacle)], default=0.0)
+    cuts = sorted({abs(ob.location) for ob in dom.obstacles if isinstance(ob, PointObstacle) and rho < abs(ob.location) < R})
+    edges = [rho, *cuts, R]
+    x, wx = np.polynomial.legendre.leggauss(quad.radial_order)
+    s = np.concatenate([0.5 * (b - a) * x + 0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])])
+    ws = np.concatenate([0.5 * (b - a) * wx for a, b in zip(edges[:-1], edges[1:])])
+    m = quad.angular_points
+    theta = 2.0 * np.pi * np.arange(m) / m
+    nodes = (s[:, None] * np.exp(1j * theta)[None, :]).ravel()
+    weights = ((ws * s)[:, None] * np.full(m, 2.0 * np.pi / m)[None, :]).ravel()
+    B = np.power((nodes / R)[:, None], basis.degrees)
+    return (B.conj().T * weights) @ B
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [monomials(unit_disc(), 30), monomials(punctured_disc(), 30)]
+    + [laurent(annulus(rho), -15, 15) for rho in (0.4, 0.5, 0.6)],
+    ids=["disc", "punctured", "annulus0.4", "annulus0.5", "annulus0.6"],
+)
+def test_gram_diagonal_matches_dense_tensor_rule(basis):
+    G = dense_gram(basis, QUAD)
+    scale = np.max(np.abs(G))
+    assert np.max(np.abs(G - G.conj().T)) < 1e-13 * scale
+    off = G - np.diag(np.diag(G))
+    assert np.max(np.abs(off)) < 1e-13 * scale
+    g = gram_matrix(basis, QUAD)
+    assert g.shape == (basis.size,)
+    assert np.max(np.abs(g - np.diag(G).real) / g) < 1e-13
+
+
 def test_gram_diagonal_unit_disc():
     basis = monomials(unit_disc(), 12)
-    G = gram_matrix(basis, QUAD)
+    g = gram_matrix(basis, QUAD)
     expect = np.array([math.pi / (n + 1) for n in range(13)])
-    assert np.allclose(np.diag(G).real, expect, rtol=1e-13, atol=0.0)
-    off = G - np.diag(np.diag(G))
-    assert np.max(np.abs(off)) < 1e-14 * math.pi
+    assert np.allclose(g, expect, rtol=1e-13, atol=0.0)
+    G = dense_gram(basis, QUAD)
+    assert np.max(np.abs(G - np.diag(np.diag(G)))) < 1e-14 * math.pi
 
 
 def test_gram_diagonal_annulus_laurent():
     rho = 0.5
     basis = laurent(annulus(rho), -3, 6)
-    G = gram_matrix(basis, QUAD)
-    diag = np.diag(G).real
+    g = gram_matrix(basis, QUAD)
     for i, n in enumerate(range(-3, 7)):
         if n == -1:
             expect = 2.0 * math.pi * math.log(1.0 / rho)
         else:
             expect = 2.0 * math.pi * (1.0 - rho ** (2 * n + 2)) / (2 * n + 2)
-        assert diag[i] == pytest.approx(expect, rel=1e-13), n
-    off = G - np.diag(np.diag(G))
-    assert np.max(np.abs(off)) < 1e-13 * np.max(diag)
+        assert g[i] == pytest.approx(expect, rel=1e-13), n
+    G = dense_gram(basis, QUAD)
+    assert np.max(np.abs(G - np.diag(np.diag(G)))) < 1e-13 * np.max(g)
 
 
 def test_kernel_disc_closed_form():
@@ -95,6 +133,13 @@ def test_truncation_error_at_outer_edge():
     assert est60.error_proxy < est30.error_proxy
     near0 = kernel_at(monomials(unit_disc(), 30), QUAD, 0j)
     assert near0.error_proxy < 1e-12
+
+
+def test_error_proxy_sees_laurent_bottom_end():
+    # at z = 0.7 on the rho = 0.5 annulus the dropped z^-15 term (2.2e-4 of K)
+    # outweighs the z^15 one (3.4e-5); the series truncation is 3.0e-4
+    est = kernel_at(laurent(annulus(0.5), -15, 15), QUAD, 0.7 + 0j)
+    assert est.error_proxy >= 2e-4
 
 
 def test_annulus_kernel_dominates_disc():
@@ -159,22 +204,47 @@ def test_quadrature_and_basis_validation():
 def test_path_length_radial_geodesic():
     # int_0^x sqrt(2)/(1-s^2) ds = sqrt(2) atanh(x) for the disc metric
     b = monomials(unit_disc(), 60)
-    got = metric_path_length(b, QUAD, (0j, 0.9 + 0j))
+    got = metric_path_length(KernelEngine(b, QUAD), (0j, 0.9 + 0j))
     want = math.sqrt(2.0) * math.atanh(0.9)
     assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_path_length_degenerate_and_validation():
-    b = monomials(unit_disc(), 10)
-    assert metric_path_length(b, QUAD, (0.2 + 0j, 0.2 + 0j)) == 0.0
+    engine = KernelEngine(monomials(unit_disc(), 10), QUAD)
+    assert metric_path_length(engine, (0.2 + 0j, 0.2 + 0j)) == 0.0
     with pytest.raises(ValueError):
-        metric_path_length(b, QUAD, (0.2 + 0j,))
+        metric_path_length(engine, (0.2 + 0j,))
     with pytest.raises(ValueError):
-        metric_path_length(b, QUAD, (0j, 0.5 + 0j), samples=1)
+        metric_path_length(engine, (0j, 0.5 + 0j), samples=1)
 
 
 def test_path_length_polyline_additive():
-    b = monomials(unit_disc(), 30)
-    one = metric_path_length(b, QUAD, (0j, 0.3 + 0j, 0.6 + 0j), samples=513)
-    two = metric_path_length(b, QUAD, (0j, 0.6 + 0j), samples=513)
+    engine = KernelEngine(monomials(unit_disc(), 30), QUAD)
+    one = metric_path_length(engine, (0j, 0.3 + 0j, 0.6 + 0j), samples=513)
+    two = metric_path_length(engine, (0j, 0.6 + 0j), samples=513)
     assert one == pytest.approx(two, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "basis, path",
+    [
+        (monomials(unit_disc(), 30), (0j, 0.3 + 0.1j, 0.3 + 0.1j, -0.5j)),
+        (monomials(punctured_disc(), 20), (0.1 + 0.1j, 0.5 + 0j, 0.5 + 0.5j)),
+        (laurent(annulus(0.5), -15, 15), (0.55 + 0j, 0.71 + 0j, 0.95 + 0j)),
+    ],
+    ids=["disc", "punctured", "annulus"],
+)
+def test_batched_path_integrand_matches_pointwise(basis, path):
+    engine = KernelEngine(basis, QUAD)
+    s_grid, zs = _path_samples(path, 257)
+    batched = engine.metric(zs)
+    pointwise = np.array([engine.estimate(z).metric for z in zs])
+    assert np.max(np.abs(batched - pointwise) / pointwise) <= 1e-15
+    want = float(np.trapezoid(np.sqrt(np.maximum(pointwise, 0.0)), s_grid))
+    assert metric_path_length(engine, path) == pytest.approx(want, rel=1e-15)
+
+
+def test_path_through_puncture_rejected():
+    engine = KernelEngine(monomials(punctured_disc(), 10), QUAD)
+    with pytest.raises(ValueError, match="obstacle"):
+        metric_path_length(engine, (-0.5 + 0j, 0.5 + 0j))
