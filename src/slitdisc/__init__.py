@@ -88,7 +88,6 @@ from .wiener import (
     gamma_numeric,
     log_g,
     log_tail_g,
-    shell_term_bounds,
     shell_term_log_bounds,
     threshold_report,
 )
@@ -156,7 +155,6 @@ __all__ = [
     "qc_constant",
     "segment_log_capacity",
     "shell",
-    "shell_term_bounds",
     "shell_term_log_bounds",
     "threshold_report",
     "trapped_obstacles",

@@ -31,6 +31,7 @@ from .geometry import (
     PointObstacle,
     SegmentObstacle,
 )
+from .numerics import exp_or_inf
 
 NEG_INF = float("-inf")
 
@@ -53,12 +54,8 @@ class LogCapacity:
 
     @property
     def value(self) -> float:
-        """Linear-scale capacity; underflows to 0.0 honestly."""
-        if self.is_polar:
-            return 0.0
-        if self.log_value > 700.0:
-            return math.inf
-        return math.exp(self.log_value) if self.log_value > -745.0 else 0.0
+        """Linear-scale capacity; underflows to 0.0 honestly, inf only past the double range."""
+        return exp_or_inf(self.log_value)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
-from .numerics import EXP_OVERFLOW, Real, is_exact, power
+from .numerics import EXP_OVERFLOW, Real, exp_or_inf, is_exact, le_guarded, power
 
 NEG_INF = float("-inf")
 
@@ -334,7 +335,7 @@ def make_arc(params: ParamRT, k: int) -> ArcObstacle:
             degenerate=True,
         )
     log_sin_quarter = -(t ** (-k))
-    s = math.exp(log_sin_quarter) if log_sin_quarter > -745.0 else 0.0
+    s = exp_or_inf(log_sin_quarter)
     if s >= 1e-8:
         half_width = 2.0 * math.asin(s)
     else:
@@ -394,38 +395,52 @@ def annulus(inner_radius: float) -> DomainSpec:
 # shell decomposition
 
 
+@lru_cache(maxsize=32)
+def first_trapped_index(params: ParamRT) -> int:
+    """Smallest arc index j with r^j <= 1/4: the first arc the gamma integral sees.
+
+    Exact for rational r; float r compares with le_guarded, so a power
+    within the guard band of 1/4 counts as inside.
+    """
+    quarter = Fraction(1, 4)
+    j = 1
+    while not le_guarded(power(params.r, j), quarter).result:
+        j += 1
+    return j
+
+
 def first_shell_index(params: ParamRT) -> int:
     """Smallest k whose shell [2r^(k+1), 1/4] is nonempty and traps arc k.
 
-    For the stated range r < 1/4 this is 1, matching the decomposition that
-    starts the radial integral at 2r^2.  For larger r the start index grows:
-    arc k must sit inside the integration range (r^k <= 1/4) and the shell
-    must be nonempty (2r^(k+1) < 1/4).  Exact when params are rational.
+    For r < 1/2 an arc inside the integration range (r^k <= 1/4) already
+    makes its shell nonempty (2r^(k+1) <= r/2 < 1/4), so this is
+    first_trapped_index; at r = 1/2 arc 2 sits at 1/4 where shell 2 is
+    empty, and the start moves to k = 3.  For the stated range r < 1/4 it
+    is 1.  Requires r <= 1/2 so that shell k actually traps arc k.
     """
-    r = params.r
-    quarter = Fraction(1, 4) if is_exact(r) else 0.25
-    k = 1
-    while not (power(r, k) <= quarter and 2 * power(r, k + 1) < quarter):
-        k += 1
-        if k > 100000:
-            raise ValueError(f"no valid shell index for r={r}")
-    return k
+    if params.r > Fraction(1, 2):
+        raise ValueError("shell decomposition requires r <= 1/2 (arc k must stay inside shell k)")
+    k = first_trapped_index(params)
+    return k + 1 if params.r == Fraction(1, 2) else k
 
 
-def shell(params: ParamRT, k: int, n_offset_start: int | None = None) -> Shell:
+def check_shell_index(params: ParamRT, k: int) -> int:
+    """First shell index k0, after checking that shell k exists (k >= k0)."""
+    k0 = first_shell_index(params)
+    if k < k0:
+        raise ValueError(f"shell {k} is empty or misses the integration range; first valid shell is k={k0}")
+    return k0
+
+
+def shell(params: ParamRT, k: int) -> Shell:
     """Shell k of the radial decomposition of (0, 1/4].
 
     The first shell is clamped to outer radius 1/4 (the upper limit of the
     gamma integral); deeper shells are the plain annuli [2r^(k+1), 2r^k].
-    n_offset_start overrides the computed first-shell index for callers
-    that have already generalized the decomposition start.  Requires
-    r <= 1/2 so that shell k actually traps arc k.
+    Raises once 2r^(k+1) underflows doubles; the log-domain shell sums in
+    wiener never build a Shell.
     """
-    if params.r > Fraction(1, 2):
-        raise ValueError("shell decomposition requires r <= 1/2 (arc k must stay inside shell k)")
-    k0 = first_shell_index(params) if n_offset_start is None else n_offset_start
-    if k < k0:
-        raise ValueError(f"shell {k} is empty or misses the integration range; first valid shell is k={k0}")
+    k0 = check_shell_index(params, k)
     r = float(params.r)
     inner = 2.0 * r ** (k + 1)
     outer = 0.25 if k == k0 else 2.0 * r**k

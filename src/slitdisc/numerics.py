@@ -10,6 +10,7 @@ back to a guarded comparison with an explicit boundary warning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -18,13 +19,19 @@ Real = Union[int, float, Fraction]
 
 # exp() overflows doubles just above 709.78; stay a hair below
 EXP_OVERFLOW = 709.0
-# exp() underflows to 0.0 below roughly -745.1
-EXP_UNDERFLOW = -745.0
 
 
 def is_exact(x: Real) -> bool:
     """True when x supports exact rational comparison."""
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, with inf only where it overflows doubles (math.exp gives 0.0 on underflow)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def parse_number(text: str) -> Real:

@@ -28,12 +28,13 @@ from .geometry import (
     ParamRT,
     PointObstacle,
     SegmentObstacle,
+    check_shell_index,
     first_shell_index,
-    shell,
+    first_trapped_index,
     trapped_obstacles,
     _wrap_angle,
 )
-from .numerics import GuardedComparison, le_guarded, power
+from .numerics import GuardedComparison, exp_or_inf, le_guarded, power
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -99,23 +100,11 @@ def log_tail_g(params: ParamRT, k: int) -> float:
     return float(_log_g_tails(params, hi)[k - 1])
 
 
-@lru_cache(maxsize=32)
-def _first_trapped_index(params: ParamRT) -> int:
-    """Smallest arc index whose radius is <= 1/4 (first arc the integral sees)."""
-    quarter = Fraction(1, 4)
-    j = 1
-    while not le_guarded(power(params.r, j), quarter).result:
-        j += 1
-    return j
-
-
 # ---------------------------------------------------------------------------
 # shell term bounds
 
 
-def shell_term_log_bounds(
-    params: ParamRT, n: int, k: int, n_offset_start: int | None = None
-) -> tuple[float, float]:
+def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float]:
     """Log-domain sandwich for the k-th shell's contribution to gamma^(n)(0).
 
     First shell (clamped at outer radius 1/4):
@@ -125,43 +114,22 @@ def shell_term_log_bounds(
     shells [2r^(k+1), 2r^k]:
         lower = (2r^k)^(-2n-2) * (1-r) * g(k+1)
         upper = (2r^(k+1))^(-2n-2) * (1/r - 1) * sum_{j>=k} g(j)
+    Every factor stays a log, so k may run past the index where the shell
+    radii underflow doubles.
     """
-    shell(params, k, n_offset_start)  # validates k against the shell range
-    k0 = first_shell_index(params) if n_offset_start is None else n_offset_start
+    k0 = check_shell_index(params, k)
     r = float(params.r)
     log_r = math.log(r)
     p = 2 * n + 2
     if k == k0:
         width = 0.25 - 2.0 * r ** (k0 + 1)
-        jmin = _first_trapped_index(params)  # equals k0 except at r = 1/2
+        jmin = first_trapped_index(params)  # equals k0 except at r = 1/2
         lower = math.log(width) + (2 * n + 3) * math.log(4.0) + log_g(params, k0 + 1)
         upper = math.log(width) - (2 * n + 3) * (math.log(2.0) + (k0 + 1) * log_r) + log_tail_g(params, jmin)
     else:
         lower = -p * (math.log(2.0) + k * log_r) + math.log1p(-r) + log_g(params, k + 1)
         upper = -p * (math.log(2.0) + (k + 1) * log_r) + math.log(1.0 / r - 1.0) + log_tail_g(params, k)
     return lower, upper
-
-
-def _exp_clip(x: float) -> float:
-    if x == NEG_INF:
-        return 0.0
-    if x > 709.0:
-        return INF
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
-
-
-def shell_term_bounds(
-    params: ParamRT, n: int, k: int, n_offset_start: int | None = None
-) -> tuple[float, float]:
-    """Linear-scale shell sandwich; values outside float range clip to 0/inf.
-
-    The log-domain variant shell_term_log_bounds carries the exact content;
-    this wrapper exists for reports and small indices.
-    """
-    lo, up = shell_term_log_bounds(params, n, k, n_offset_start)
-    return _exp_clip(lo), _exp_clip(up)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +231,9 @@ def gamma_at_origin(params: ParamRT, n: int, k_terms: int | None = None) -> Gamm
     the series two-sided geometric with ratio t / r^(2n+2), so divergence is
     exactly ratio >= 1 (inclusive at the boundary, where the terms stay
     bounded below).  When finite, lower and upper sums of the sandwich are
-    accumulated in log-domain until the upper terms fall below a 1e-18
-    relative cut, and the geometric remainder is folded into the upper sum.
+    accumulated in one log-domain pass until the upper terms fall below a
+    1e-18 relative cut, and the geometric remainder is folded into the upper
+    sum once.
     """
     cmp = _ratio_at_least_one(params, n)
     ratio = divergence_ratio(params, n)
@@ -277,50 +246,37 @@ def gamma_at_origin(params: ParamRT, n: int, k_terms: int | None = None) -> Gamm
 
     terms_log: list[tuple[int, float, float]] = []
     truncation: dict = {"mode": "analytic-shells", "tail_relative_cut": TAIL_RELATIVE_CUT}
+    log_lo_sum = log_up_sum = NEG_INF
+    tail_rel = 0.0
 
     if have_shells:
         k0 = first_shell_index(params)
         truncation["k_start"] = k0
-        if cmp.result:
-            # divergent: report a fixed window of growing terms
-            k_stop = k0 + (k_terms if k_terms is not None else DIVERGENT_REPORT_TERMS) - 1
-            for k in range(k0, k_stop + 1):
-                terms_log.append((k, *shell_term_log_bounds(params, n, k)))
-            truncation["k_stop"] = k_stop
-            truncation["converged"] = False
-            if ratio == 1:
-                flags.append(FLAG_RATIO_ONE)
+        # divergent: a fixed window of growing terms; finite: sum to the relative cut
+        budget = k_terms if k_terms is not None else (DIVERGENT_REPORT_TERMS if cmp.result else MAX_FINITE_TERMS)
+        prev_up = None
+        for k in range(k0, k0 + budget):
+            lo, up = shell_term_log_bounds(params, n, k)
+            terms_log.append((k, lo, up))
+            log_lo_sum = float(np.logaddexp(log_lo_sum, lo))
+            log_up_sum = float(np.logaddexp(log_up_sum, up))
+            if not cmp.result and up < log_up_sum + math.log(TAIL_RELATIVE_CUT):
+                q = min(math.exp(up - prev_up) if prev_up is not None else 0.5, 0.999999)
+                tail_rel = TAIL_RELATIVE_CUT * q / (1.0 - q)
+                truncation["tail_relative_bound"] = tail_rel
+                truncation["converged"] = True
+                break
+            prev_up = up
         else:
-            # finite: sum to the relative cut
-            log_lo_sum = NEG_INF
-            log_up_sum = NEG_INF
-            k = k0
-            prev_up = None
-            budget = k_terms if k_terms is not None else MAX_FINITE_TERMS
-            while k < k0 + budget:
-                lo, up = shell_term_log_bounds(params, n, k)
-                terms_log.append((k, lo, up))
-                log_lo_sum = float(np.logaddexp(log_lo_sum, lo))
-                log_up_sum = float(np.logaddexp(log_up_sum, up))
-                if up < log_up_sum + math.log(TAIL_RELATIVE_CUT):
-                    q = math.exp(up - prev_up) if prev_up is not None else 0.5
-                    q = min(q, 0.999999)
-                    tail_rel = TAIL_RELATIVE_CUT * q / (1.0 - q)
-                    log_up_sum += math.log1p(tail_rel)
-                    truncation["tail_relative_bound"] = tail_rel
-                    truncation["converged"] = True
-                    break
-                prev_up = up
-                k += 1
-            else:
-                truncation["converged"] = False
+            truncation["converged"] = False
+            if not cmp.result:
                 flags.append("term budget exhausted before the relative cut; the upper sum omits the unresolved tail")
-            truncation["k_stop"] = terms_log[-1][0]
+        truncation["k_stop"] = k0 + len(terms_log) - 1
+        if cmp.result and ratio == 1:
+            flags.append(FLAG_RATIO_ONE)
 
-    lower_sum = _exp_clip(float(np.logaddexp.reduce([t[1] for t in terms_log]))) if terms_log else 0.0
-    upper_sum = _exp_clip(float(np.logaddexp.reduce([t[2] for t in terms_log]))) if terms_log else 0.0
-    if have_shells and not cmp.result and terms_log and truncation.get("converged"):
-        upper_sum *= 1.0 + truncation.get("tail_relative_bound", 0.0)
+    lower_sum = exp_or_inf(log_lo_sum)
+    upper_sum = exp_or_inf(log_up_sum) * (1.0 + tail_rel)
 
     if cmp.result:
         verdict = Verdict.DIVERGENT
@@ -331,7 +287,7 @@ def gamma_at_origin(params: ParamRT, n: int, k_terms: int | None = None) -> Gamm
         if not have_shells:
             flags.append("value not computed without a shell decomposition")
 
-    terms_lin = tuple((k, _exp_clip(lo), _exp_clip(up)) for k, lo, up in terms_log)
+    terms_lin = tuple((k, exp_or_inf(lo), exp_or_inf(up)) for k, lo, up in terms_log)
     return GammaReport(
         n=n,
         z=0j,

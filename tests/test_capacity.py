@@ -68,6 +68,7 @@ def test_degenerate_arc_is_polar():
 def test_log_capacity_value_honesty():
     assert LogCapacity(-800.0).value == 0.0
     assert LogCapacity(800.0).value == math.inf
+    assert LogCapacity(705.0).value == math.exp(705.0)  # finite up to the double range
     assert LogCapacity(0.0).value == 1.0
     with pytest.raises(ValueError):
         LogCapacity(float("nan"))

@@ -81,6 +81,13 @@ def test_gamma_analytic_record(capsys):
     assert rep["shell_terms"][0][0] == 1  # first shell index
 
 
+def test_gamma_analytic_past_radius_underflow(capsys):
+    # the finite tail runs past k = 275, where the shell radius 2r^(k+1) underflows
+    rep = run_json(capsys, ["gamma", "--r", "1/15", "--t", "1/56250", "--n", "1"])["results"]["report"]
+    assert rep["verdict"] == "Finite"
+    assert rep["truncation"]["converged"] is True and rep["truncation"]["k_stop"] > 275
+
+
 def test_gamma_numeric_path(capsys):
     record = run_json(capsys, ["gamma", "--r", "1/5", "--t", "1/100", "--numeric", "--kmax", "25"])
     rep = record["results"]["report"]

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slitdisc.geometry import (
     ArcObstacle,
@@ -17,6 +19,7 @@ from slitdisc.geometry import (
     circle,
     descriptor_contains,
     first_shell_index,
+    first_trapped_index,
     make_arc,
     punctured_disc,
     shell,
@@ -95,6 +98,28 @@ def test_first_shell_index_values():
     assert first_shell_index(ParamRT(F(3, 10), F(1, 100))) == 2
     assert first_shell_index(ParamRT(F(9, 20), F(1, 100))) == 2
     assert first_shell_index(ParamRT(F(1, 2), F(1, 100))) == 3
+
+
+@given(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=10**4).filter(lambda r: r > 0))
+def test_shell_indices_match_fraction_definitions(r):
+    p = ParamRT(r, F(1, 100))
+    j = 1
+    while r**j > F(1, 4):
+        j += 1
+    assert first_trapped_index(p) == j
+    k = 1
+    while not (r**k <= F(1, 4) and 2 * r ** (k + 1) < F(1, 4)):
+        k += 1
+    assert first_shell_index(p) == k
+
+
+def test_shell_indices_float_half_and_beyond():
+    assert first_shell_index(ParamRT(0.5, 0.01)) == 3
+    assert first_shell_index(ParamRT(0.4999999999999999, 0.01)) == 2
+    with pytest.raises(ValueError, match="r <= 1/2"):
+        first_shell_index(ParamRT(0.5000000000000001, 0.01))
+    with pytest.raises(ValueError, match="r <= 1/2"):
+        first_shell_index(ParamRT(F(3, 5), F(1, 100)))
 
 
 def test_shell_examples():

@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from slitdisc.geometry import ParamRT, build_domain, punctured_disc, unit_disc
+from slitdisc.geometry import ParamRT, build_domain, first_trapped_index, punctured_disc, unit_disc
 from slitdisc.wiener import (
     FLAG_FEKETE_PATH,
     FLAG_GUARD_BAND,
@@ -13,14 +14,12 @@ from slitdisc.wiener import (
     GammaQuadrature,
     GammaReport,
     Verdict,
-    _first_trapped_index,
     classify_domain,
     divergence_ratio,
     gamma_at_origin,
     gamma_numeric,
     log_g,
     log_tail_g,
-    shell_term_bounds,
     shell_term_log_bounds,
     threshold_report,
 )
@@ -58,11 +57,11 @@ def test_log_tail_recursion():
 
 
 def test_first_trapped_index():
-    assert _first_trapped_index(ParamRT(F(1, 5), F(1, 100))) == 1
-    assert _first_trapped_index(ParamRT(F(9, 20), F(1, 100))) == 2
+    assert first_trapped_index(ParamRT(F(1, 5), F(1, 100))) == 1
+    assert first_trapped_index(ParamRT(F(9, 20), F(1, 100))) == 2
     # r = 1/2: arc 2 sits at radius 1/4, inside the integration range even
     # though the first nonempty shell is k = 3
-    assert _first_trapped_index(ParamRT(F(1, 2), F(1, 100))) == 2
+    assert first_trapped_index(ParamRT(F(1, 2), F(1, 100))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,7 @@ def test_first_trapped_index():
 def test_shell_bounds_worked_example():
     # deep shell k=3 at (r, t) = (1/5, 3/10), n = 0:
     #   lower = (2 r^3)^-2 (1-r) g(4),  upper = (2 r^4)^-2 (1/r - 1) sum_{j>=3} g(j)
-    lo, up = shell_term_bounds(ParamRT(F(1, 5), F(3, 10)), 0, 3)
+    lo, up = map(math.exp, shell_term_log_bounds(ParamRT(F(1, 5), F(3, 10)), 0, 3))
     assert lo == pytest.approx(24.057977782134, rel=1e-10)
     assert up == pytest.approx(13673.351900776, rel=1e-10)
 
@@ -92,10 +91,40 @@ def test_shell_bounds_ordered():
 
 
 def test_shell_linear_overflow_clips_to_inf():
-    p = ParamRT(F(1, 10), F(2, 5))
-    lo_log, up_log = shell_term_log_bounds(p, 2, 60)
-    assert math.isfinite(lo_log) and math.isfinite(up_log)
-    assert shell_term_bounds(p, 2, 60) == (math.inf, math.inf)
+    rep = gamma_at_origin(ParamRT(F(1, 10), F(2, 5)), 2, k_terms=60)
+    k, lo_log, up_log = rep.shell_terms_log[-1]
+    assert k == 60 and math.isfinite(lo_log) and math.isfinite(up_log)
+    assert rep.shell_terms[-1] == (60, math.inf, math.inf)
+
+
+def test_shell_terms_past_radius_underflow():
+    # ratio t / r^4 = 9/10: the finite tail runs past k = 275, where the
+    # shell radius 2r^(k+1) underflows doubles; the log-domain sum carries on
+    p = ParamRT(F(1, 15), F(1, 56250))
+    assert 2.0 * (1 / 15) ** 276 == 0.0
+    rep = gamma_at_origin(p, 1)
+    assert rep.verdict is Verdict.FINITE
+    assert rep.truncation["converged"] and rep.truncation["k_stop"] > 275
+    assert rep.lower_sum <= rep.upper_sum
+
+
+def test_deep_shell_log_bounds_vs_mpmath():
+    # deep shell k = 300 of the same pair against a 50-digit evaluation of
+    # the sandwich formulas; g(j) <= t^j, so 40 tail terms leave < 1e-190
+    r, t, n, k = F(1, 15), F(1, 56250), 1, 300
+    lo, up = shell_term_log_bounds(ParamRT(r, t), n, k)
+    with mpmath.workdps(50):
+        R, T = mpmath.mpf(r.numerator) / r.denominator, mpmath.mpf(t.numerator) / t.denominator
+
+        def g(j):
+            return 1 / (T ** (-j) + j * mpmath.log(1 / R))
+
+        p = 2 * n + 2
+        ref_lo = -p * mpmath.log(2 * R**k) + mpmath.log(1 - R) + mpmath.log(g(k + 1))
+        tail = mpmath.fsum(g(j) for j in range(k, k + 40))
+        ref_up = -p * mpmath.log(2 * R ** (k + 1)) + mpmath.log(1 / R - 1) + mpmath.log(tail)
+        assert abs(lo - ref_lo) <= 1e-12
+        assert abs(up - ref_up) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
