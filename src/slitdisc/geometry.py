@@ -247,28 +247,36 @@ def _angular_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 def _check_pairwise_disjoint(obstacles: tuple[Obstacle, ...]) -> None:
     """Reject overlapping obstacles for the shapes this package composes.
 
-    Arcs on distinct radii, points off the other pieces, and discs separated
-    from everything else are verified; segment-vs-curve intersection is not
-    computed exactly (segments appear standalone in capacity descriptors).
+    Arcs on one circle must not overlap, discs must be separated, no arc may
+    sit inside a disc centred at the origin (the only discs combined with
+    arcs), and no point may lie on another piece; segment-vs-curve
+    intersection is not computed exactly (segments appear standalone in
+    capacity descriptors).  Arcs are grouped by radius, so only arcs on the
+    same circle are compared: a family domain of k arcs costs O(k).
     """
-    for i, a in enumerate(obstacles):
-        for b in obstacles[i + 1 :]:
-            if isinstance(a, ArcObstacle) and isinstance(b, ArcObstacle):
-                if a.radius == b.radius and _angular_overlap(a.angular_interval(), b.angular_interval()):
+    arcs_by_radius: dict[float, list[ArcObstacle]] = {}
+    discs: list[DiscObstacle] = []
+    for ob in obstacles:
+        if isinstance(ob, ArcObstacle):
+            arcs_by_radius.setdefault(ob.radius, []).append(ob)
+        elif isinstance(ob, DiscObstacle):
+            discs.append(ob)
+    for same_circle in arcs_by_radius.values():
+        for i, a in enumerate(same_circle):
+            for b in same_circle[i + 1 :]:
+                if _angular_overlap(a.angular_interval(), b.angular_interval()):
                     raise ValueError("overlapping arcs on one circle")
-            elif isinstance(a, DiscObstacle) and isinstance(b, DiscObstacle):
-                if abs(a.center - b.center) <= a.radius + b.radius:
-                    raise ValueError("overlapping disc obstacles")
-            elif {type(a), type(b)} == {ArcObstacle, DiscObstacle}:
-                arc_ob = a if isinstance(a, ArcObstacle) else b
-                disc_ob = b if isinstance(b, DiscObstacle) else a
-                # concentric-at-origin discs are the only ones we combine with arcs
-                if abs(disc_ob.center) == 0.0 and arc_ob.radius <= disc_ob.radius:
-                    raise ValueError("arc swallowed by disc obstacle")
-            elif isinstance(a, PointObstacle) or isinstance(b, PointObstacle):
-                pt = a if isinstance(a, PointObstacle) else b
-                other = b if isinstance(a, PointObstacle) else a
-                if _point_on_obstacle(pt.location, other):
+    for i, a in enumerate(discs):
+        for b in discs[i + 1 :]:
+            if abs(a.center - b.center) <= a.radius + b.radius:
+                raise ValueError("overlapping disc obstacles")
+    centred = [d.radius for d in discs if abs(d.center) == 0.0]
+    if arcs_by_radius and centred and min(arcs_by_radius) <= max(centred):
+        raise ValueError("arc swallowed by disc obstacle")
+    for i, pt in enumerate(obstacles):
+        if isinstance(pt, PointObstacle):
+            for j, other in enumerate(obstacles):
+                if j != i and _point_on_obstacle(pt.location, other):
                     raise ValueError("point obstacle lies on another obstacle")
 
 

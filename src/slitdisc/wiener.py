@@ -10,6 +10,8 @@ parameters are rational); quadrature only ever brackets finite windows.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +21,9 @@ from typing import Literal
 
 import numpy as np
 
-from .capacity import fekete_log_capacity, union_log_capacity
+from .capacity import fekete_log_capacity, log_capacity, union_log_capacity
 from .geometry import (
+    ArcObstacle,
     CompactSet,
     DiscObstacle,
     DomainSpec,
@@ -31,7 +34,7 @@ from .geometry import (
     check_shell_index,
     first_shell_index,
     first_trapped_index,
-    trapped_obstacles,
+    _clip_obstacle,
     _wrap_angle,
 )
 from .numerics import GuardedComparison, exp_or_inf, le_guarded, power
@@ -367,32 +370,127 @@ def _piece_probe_radii(ob: Obstacle, z: complex) -> tuple[float, float]:
     return dmin, dmax
 
 
-def _delta_grid(domain: DomainSpec, z: complex, quad: GammaQuadrature) -> np.ndarray:
+def _delta_grid(radii: list[tuple[float, float]], quad: GammaQuadrature) -> np.ndarray:
     top, bottom = 0.25, quad.delta_min
     n_geo = max(1, int(math.ceil(math.log2(top / bottom) * quad.points_per_octave)))
     pts = {top, bottom}
     for i in range(1, n_geo):
         pts.add(top * (bottom / top) ** (i / n_geo))
-    for ob in domain.obstacles:
-        dmin, dmax = _piece_probe_radii(ob, z)
+    for dmin, dmax in radii:
         for v in (dmin, dmax, 2.0 * dmax):
             if bottom < v < top:
                 pts.add(v)
     return np.array(sorted(pts))
 
 
-def _bracket_h(trapped: CompactSet, quad: GammaQuadrature) -> tuple[float, float]:
-    """Bracket of h(delta) = 1 / (-log cap(trapped set))."""
-    if trapped.is_empty or trapped.is_polar:
-        return 0.0, 0.0
+# margins that widen [dmin, dmax] of off-centre arcs and segments, whose clip
+# solves for the probe circle's crossing instead of comparing dmin or dmax:
+# relative to delta, and in units of the squared clip scale for the rounding
+# of those formulas (hundreds of ulps of it)
+SPLIT_MARGIN = 1e-12
+SPLIT_SCALE_SLACK = 1e-13
+
+
+def _clip_scale(ob: Obstacle, z: complex) -> float:
+    """Length scale of the reference clip's rounding for ob seen from z.
+
+    Zero where the clip compares the very distance _piece_probe_radii
+    computes (points, discs, point-like arcs, arcs around a centre at the
+    origin), so that only an exact tie with delta needs the clip.
+    """
+    if isinstance(ob, SegmentObstacle):
+        return max(abs(ob.z0 - z), abs(ob.z1 - z))
+    if isinstance(ob, ArcObstacle) and not ob.point_like and z != 0j:
+        return ob.radius + abs(z)
+    return 0.0
+
+
+class _TrappedSplit:
+    """The trapped sets of one domain seen from one centre z, for any delta.
+
+    The pieces are sorted once by their fully-covered radius dmax.  At each
+    delta a bisect splits them three ways: pieces whose dmax lies below
+    delta are whole, the band [dmin, dmax] (widened by the margins above
+    where the clip does its own arithmetic) goes through the reference clip
+    geometry._clip_obstacle, and the rest are absent.  The whole pieces' log
+    capacities come once, with prefix running maxima and prefix reciprocal
+    sums over the sorted order, so a delta costs the bisect plus the band.
+    pieces() returns exactly what trapped_obstacles returns, in domain order.
+    """
+
+    def __init__(self, domain: DomainSpec, z: complex, radii: list[tuple[float, float]]):
+        self.obstacles, self.z = domain.obstacles, z
+        lo, hi = [], []
+        for ob, (dmin, dmax) in zip(self.obstacles, radii):
+            scale = _clip_scale(ob, z)
+            if scale:
+                slack = SPLIT_SCALE_SLACK * scale * scale
+                dmin = math.sqrt(max(dmin * dmin - slack, 0.0)) * (1.0 - SPLIT_MARGIN)
+                dmax = math.sqrt(dmax * dmax + slack) * (1.0 + SPLIT_MARGIN)
+            lo.append(dmin)
+            hi.append(dmax)
+        self.order = sorted(range(len(hi)), key=hi.__getitem__)
+        self.hi = [hi[i] for i in self.order]
+        self.lo = [lo[i] for i in self.order]
+        # min of lo over each suffix: the band walk stops once no piece can reach delta
+        self.lo_suffix_min = list(reversed(list(itertools.accumulate(reversed(self.lo), min))))
+        self.log_max = [NEG_INF]
+        self.recip_sum = [0.0]
+        for i in self.order:
+            lv = log_capacity(self.obstacles[i]).log_value
+            self.log_max.append(max(self.log_max[-1], lv))
+            self.recip_sum.append(self.recip_sum[-1] + (1.0 / (-lv) if lv != NEG_INF else 0.0))
+
+    def split(self, delta: float) -> tuple[int, list[tuple[int, list[Obstacle]]]]:
+        """(number of whole pieces, [(domain index, clipped pieces)] of the band)."""
+        whole = bisect.bisect_left(self.hi, delta)
+        band = []
+        j = whole
+        while j < len(self.lo) and self.lo_suffix_min[j] <= delta:
+            if self.lo[j] <= delta:
+                i = self.order[j]
+                band.append((i, _clip_obstacle(self.obstacles[i], self.z, delta)))
+            j += 1
+        return whole, band
+
+    def pieces(self, delta: float) -> tuple[Obstacle, ...]:
+        """The trapped set at delta, piece for piece as trapped_obstacles gives it."""
+        whole, band = self.split(delta)
+        by_index = {i: [self.obstacles[i]] for i in self.order[:whole]}
+        by_index.update(band)
+        return tuple(p for i in sorted(by_index) for p in by_index[i])
+
+    def log_bounds(self, delta: float) -> tuple[float, float]:
+        """(max log cap, sum of 1/(-log cap)) over the trapped pieces, as
+        union_log_capacity combines them, with its log cap < 0 check."""
+        whole, band = self.split(delta)
+        lower, recip_sum = self.log_max[whole], self.recip_sum[whole]
+        for _, clipped in band:
+            for piece in clipped:
+                lv = log_capacity(piece).log_value
+                lower = max(lower, lv)
+                if lv != NEG_INF:
+                    recip_sum += 1.0 / (-lv)
+        if lower >= 0.0:
+            union_log_capacity(self.pieces(delta))  # raises, naming the first offending piece
+        return lower, recip_sum
+
+
+def _bracket_h(split: _TrappedSplit, delta: float, quad: GammaQuadrature) -> tuple[float, float]:
+    """Bracket of h(delta) = 1 / (-log cap(trapped set at delta)); zero on polar or empty sets."""
     if quad.capacity_path == "fekete":
+        trapped = CompactSet(split.pieces(delta))
+        if trapped.is_empty or trapped.is_polar:
+            return 0.0, 0.0
         est = fekete_log_capacity(trapped, quad.fekete_n, quad.seed).log_value
         h = 0.0 if est == NEG_INF else 1.0 / (-est)
         return h, h
-    lower, upper = union_log_capacity(list(trapped.pieces))
-    h_lo = 0.0 if lower.log_value == NEG_INF else 1.0 / (-lower.log_value)
-    h_up = 0.0 if upper.log_value == NEG_INF else 1.0 / (-upper.log_value)
-    return h_lo, h_up
+    lower, recip_sum = split.log_bounds(delta)
+    if lower == NEG_INF:
+        return 0.0, 0.0
+    # a finite max makes recip_sum > 0; h_up inverts the union bound
+    # -1/recip_sum as union_log_capacity rounds it (0.0 once that is -inf)
+    return 1.0 / (-lower), 1.0 / (1.0 / recip_sum)
 
 
 def _power_integral(a: float, b: float, n: int) -> float:
@@ -416,10 +514,23 @@ def gamma_numeric(
     certified lower sum crosses the divergence threshold.  Mass below
     delta_min is never claimed: finite verdicts mean "finite over the
     resolved window", and the truncation metadata says so.
+
+    Each piece's probe radii (dmin, dmax) are computed once; they give the
+    grid's breakpoints and sort the pieces for _TrappedSplit.  At each delta
+    a bisect splits the pieces into whole (dmax below delta), clipped (delta
+    in [dmin, dmax]) and absent.  For off-centre arcs and segments the band
+    is widened by a 1e-12 relative margin and a rounding margin, so a piece
+    on a grid breakpoint always goes through the reference clip.  The whole
+    pieces' closed forms enter through prefix maxima and prefix reciprocal
+    sums.  The trapped pieces are the ones trapped_obstacles gives, so the
+    bracket equals the union_log_capacity one up to the order in which the
+    reciprocals are summed; the fekete path takes the same pieces in domain
+    order.
     """
     if abs(z) + 0.25 > domain.outer_radius + 1e-12:
         raise ValueError("probe discs of radius 1/4 must stay inside the domain's outer circle")
-    grid = _delta_grid(domain, z, quad)
+    radii = [_piece_probe_radii(ob, z) for ob in domain.obstacles]
+    grid = _delta_grid(radii, quad)
     flags = list(domain.family.flags()) if domain.family is not None else []
     if quad.capacity_path == "fekete":
         flags.append(FLAG_FEKETE_PATH)
@@ -436,17 +547,17 @@ def gamma_numeric(
     verdict = Verdict.FINITE
     idx = 0
     try:
-        h_cache: dict[float, tuple[CompactSet, tuple[float, float]]] = {}
+        split = _TrappedSplit(domain, z, radii)
+        h_cache: dict[float, tuple[float, float]] = {}
 
-        def at(delta: float) -> tuple[CompactSet, tuple[float, float]]:
+        def at(delta: float) -> tuple[float, float]:
             if delta not in h_cache:
-                tr = trapped_obstacles(domain, z, delta)
-                h_cache[delta] = (tr, _bracket_h(tr, quad))
+                h_cache[delta] = _bracket_h(split, delta, quad)
             return h_cache[delta]
 
         for a, b in zip(grid[-2::-1], grid[::-1]):
-            _, (h_lo, _) = at(float(a))
-            _, (_, h_up) = at(float(b))
+            h_lo, _ = at(float(a))
+            _, h_up = at(float(b))
             P = _power_integral(float(a), float(b), n)
             cell_lo = h_lo * P
             cell_up = h_up * P

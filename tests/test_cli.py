@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +200,31 @@ def test_to_jsonable_projections():
     assert to_jsonable(float("nan")) == "nan"
     assert to_jsonable(1 + 2j) == {"im": 2.0, "re": 1.0}
     assert to_jsonable((1, [2.5, None])) == [1, [2.5, None]]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_lines() -> list[list[str]]:
+    """argv of every `slitdisc ...` line in README's sh blocks, continuations joined."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("slitdisc "):
+                lines.append(shlex.split(line)[1:])
+    return lines
+
+
+def test_readme_command_lines_run(capsys):
+    commands = readme_command_lines()
+    assert len(commands) >= 10 and any("--numeric" in argv for argv in commands)
+    for argv in commands:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+        if fmt == "csv":
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), argv
+        else:
+            assert "results" in json.loads(out), argv

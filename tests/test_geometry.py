@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from slitdisc.geometry import (
     trapped_obstacles,
     unit_disc,
 )
+from slitdisc.geometry import _angular_overlap, _check_pairwise_disjoint, _point_on_obstacle
 
 F = Fraction
 
@@ -250,3 +253,78 @@ def test_validation_domains():
     assert isinstance(ann.obstacles[0], DiscObstacle) and ann.obstacles[0].radius == 0.5
     with pytest.raises(ValueError):
         annulus(1.5)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass disjointness check against the pairwise one it replaced
+
+
+def _pairwise_disjoint_reference(obstacles):
+    """The former O(k^2) check: every pair of obstacles, in domain order."""
+    for i, a in enumerate(obstacles):
+        for b in obstacles[i + 1 :]:
+            if isinstance(a, ArcObstacle) and isinstance(b, ArcObstacle):
+                if a.radius == b.radius and _angular_overlap(a.angular_interval(), b.angular_interval()):
+                    raise ValueError("overlapping arcs on one circle")
+            elif isinstance(a, DiscObstacle) and isinstance(b, DiscObstacle):
+                if abs(a.center - b.center) <= a.radius + b.radius:
+                    raise ValueError("overlapping disc obstacles")
+            elif {type(a), type(b)} == {ArcObstacle, DiscObstacle}:
+                arc_ob = a if isinstance(a, ArcObstacle) else b
+                disc_ob = b if isinstance(b, DiscObstacle) else a
+                if abs(disc_ob.center) == 0.0 and arc_ob.radius <= disc_ob.radius:
+                    raise ValueError("arc swallowed by disc obstacle")
+            elif isinstance(a, PointObstacle) or isinstance(b, PointObstacle):
+                pt = a if isinstance(a, PointObstacle) else b
+                other = b if isinstance(a, PointObstacle) else a
+                if _point_on_obstacle(pt.location, other):
+                    raise ValueError("point obstacle lies on another obstacle")
+
+
+def _accepts(check, obstacles) -> bool:
+    try:
+        check(obstacles)
+    except ValueError:
+        return False
+    return True
+
+
+DISJOINTNESS_POOL = (
+    arc(0.5, 0.0, 0.3),
+    arc(0.5, 0.5, 0.3),  # overlaps the first on the same circle
+    arc(0.5, 2.0, 0.2),
+    arc(0.5, math.pi - 0.1, 0.2),  # these two overlap across the +-pi wrap
+    arc(0.5, -math.pi + 0.05, 0.1),
+    circle(0.7),
+    make_arc(ParamRT(F(1, 5), F(1, 100)), 1),
+    make_arc(ParamRT(F(1, 5), F(1, 100)), 4),
+    DiscObstacle(0j, 0.6),  # swallows every arc at 0.5
+    DiscObstacle(0j, 0.5),  # its rim is the circle of those arcs
+    DiscObstacle(0j, 0.1),
+    DiscObstacle(0.3 + 0.3j, 0.1),
+    DiscObstacle(0.35 + 0.3j, 0.1),  # overlaps the disc before
+    SegmentObstacle(-0.6 - 0.6j, -0.2 - 0.2j),
+    PointObstacle(0.5 + 0j),  # on the first arc
+    PointObstacle(-0.4 - 0.4j),  # on the segment
+    PointObstacle(0.5 * cmath.exp(2.0j)),  # on the arc centred at angle 2
+    PointObstacle(0.3 + 0.3j),  # inside an off-centre disc
+    PointObstacle(0j),
+    PointObstacle(0.9j),
+)
+
+
+def test_one_pass_disjointness_matches_pairwise():
+    seen = set()
+    pool = DISJOINTNESS_POOL
+    groups = itertools.chain(
+        itertools.combinations_with_replacement(pool, 2),
+        itertools.combinations(pool, 3),
+        [pool, build_domain(ParamRT(F(1, 5), F(1, 100)), 40).obstacles],
+        [build_domain(ParamRT(F(1, 5), F(1, 100)), 40).obstacles + (ob,) for ob in pool],
+    )
+    for obstacles in groups:
+        for order in (obstacles, obstacles[::-1]):
+            want = _accepts(_pairwise_disjoint_reference, order)
+            assert _accepts(_check_pairwise_disjoint, order) == want, order
+            seen.add(want)
+    assert seen == {True, False}

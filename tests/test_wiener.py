@@ -2,9 +2,28 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slitdisc.geometry import ParamRT, build_domain, first_trapped_index, punctured_disc, unit_disc
+from slitdisc.capacity import union_log_capacity
+from slitdisc.geometry import (
+    CompactSet,
+    DiscObstacle,
+    DomainSpec,
+    ParamRT,
+    PointObstacle,
+    SegmentObstacle,
+    build_domain,
+    circle,
+    descriptor_contains,
+    first_shell_index,
+    first_trapped_index,
+    punctured_disc,
+    trapped_obstacles,
+    unit_disc,
+)
 from slitdisc.wiener import (
     FLAG_FEKETE_PATH,
     FLAG_GUARD_BAND,
@@ -14,6 +33,8 @@ from slitdisc.wiener import (
     GammaQuadrature,
     GammaReport,
     Verdict,
+    _piece_probe_radii,
+    _TrappedSplit,
     classify_domain,
     divergence_ratio,
     gamma_at_origin,
@@ -305,3 +326,153 @@ def test_gamma_quadrature_validation():
         GammaQuadrature(points_per_octave=0)
     with pytest.raises(ValueError):
         GammaQuadrature(capacity_path="guess")
+
+
+def test_gamma_numeric_lens_overlap_stays_inconclusive():
+    # an off-centre disc cut by the probe disc has no descriptor: the cell
+    # where the probe first reaches it (delta in (0.05, 0.15)) fails
+    dom = DomainSpec(outer_radius=1.0, obstacles=(DiscObstacle(0.1 + 0j, 0.05),), label="lens")
+    rep = gamma_numeric(dom, 0j, 0)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert rep.truncation["failed_cell"] == 6 and rep.truncation["cells"] == 6
+    assert rep.truncation["error"] == "partial disc-obstacle overlap (lens) is not representable as a descriptor"
+    assert rep.lower_sum == rep.upper_sum == 4.7474944098891925
+
+
+def test_gamma_numeric_fekete_path_pinned():
+    # arc 2 of D^{1/3, 1/5} is clipped by the probe discs around z; the Fekete
+    # estimates on the trapped pieces are pinned bit for bit
+    dom = build_domain(ParamRT(F(1, 3), F(1, 5)), 2)
+    quad = GammaQuadrature(delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8)
+    rep = gamma_numeric(dom, 0.1 + 0.02j, 0, quad)
+    assert rep.verdict is Verdict.FINITE and rep.truncation["cells"] == 12
+    assert rep.lower_sum == 34.91823718828753
+    assert rep.upper_sum == 45.6228930307232
+    assert rep.shell_terms[1] == (1, 0.002192772356608597, 0.009925212798942781)
+    assert rep.shell_terms[8] == (8, 21.092194591740576, 21.092194591740576)
+    assert rep.shell_terms[9] == (9, 1.1351749127735894e-08, 1.6541964664695002e-08)
+    assert rep.shell_terms[10] == (10, 0.0, 10.696923396803122)
+
+
+# ---------------------------------------------------------------------------
+# the trapped-set split against the reference clip
+
+
+def _outcome(fn):
+    """What a trapped-set computation gives: its pieces, or its error text."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _check_split(dom, z, extra_deltas=()):
+    """The split gives trapped_obstacles' pieces at every probe radius, at
+    twice each dmax (the grid's own breakpoints) and at extra_deltas; and the
+    reference trapped sets grow with delta."""
+    radii = [_piece_probe_radii(ob, z) for ob in dom.obstacles]
+    split = _TrappedSplit(dom, z, radii)
+    deltas = {d for dmin, dmax in radii for d in (dmin, dmax, 2.0 * dmax)} | set(extra_deltas)
+    deltas = sorted(d for d in deltas if d > 0.0)
+    grown = []
+    for delta in deltas:
+        ref = _outcome(lambda: trapped_obstacles(dom, z, delta).pieces)
+        assert _outcome(lambda: split.pieces(delta)) == ref, (z, delta)
+        if isinstance(ref, str):
+            continue
+        grown.append(ref)
+        if ref:
+            max_log, recip_sum = split.log_bounds(delta)
+            lower, upper = union_log_capacity(ref)
+            assert max_log == lower.log_value
+            if recip_sum > 0.0:
+                assert -1.0 / recip_sum == pytest.approx(upper.log_value, rel=1e-15, abs=0.0)
+    chain = grown[::4]
+    for small, big in zip(chain, chain[1:]):
+        assert descriptor_contains(CompactSet(small), CompactSet(big))
+
+
+# |z| <= 3/4 keeps the probe discs inside the unit disc; a subnormal |z| is
+# left out because the reference clip of an arc divides by 2 R |z|, which
+# underflows to zero there
+_admissible_z = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda rho, phi: complex(rho * math.cos(phi), rho * math.sin(phi)),
+        st.floats(1e-300, 0.75),
+        st.floats(-math.pi, math.pi),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.fractions(F(1, 20), F(1, 2), max_denominator=40),
+    t=st.fractions(F(1, 200), F(49, 100), max_denominator=200),
+    k_max=st.integers(1, 30),
+    z=_admissible_z,
+    near=st.integers(1, 6),
+    nudge=st.floats(-1e-6, 1e-6),
+    deltas=st.lists(st.floats(1e-12, 0.25), max_size=5),
+)
+def test_trapped_split_matches_reference(r, t, k_max, z, near, nudge, deltas):
+    dom = build_domain(ParamRT(r, t), k_max)
+    _check_split(dom, z, deltas)
+    # a centre next to arc `near`, where the off-centre clip is at its most
+    # sensitive to rounding
+    rho = float(r) ** near * (1.0 + nudge)
+    if rho <= 0.75:
+        _check_split(dom, complex(rho * math.cos(nudge), rho * math.sin(nudge)), deltas)
+
+
+HAND_BUILT = DomainSpec(
+    outer_radius=1.0,
+    obstacles=(
+        DiscObstacle(0j, 0.05),
+        circle(0.3),
+        SegmentObstacle(0.4 + 0.1j, 0.5 - 0.2j),
+        PointObstacle(-0.4 + 0.2j),
+        DiscObstacle(-0.2 - 0.5j, 0.08),
+    ),
+    label="segment, centred disc, full circle, point, off-centre disc",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=_admissible_z, deltas=st.lists(st.floats(1e-12, 0.25), max_size=5))
+def test_trapped_split_matches_reference_hand_built(z, deltas):
+    _check_split(HAND_BUILT, z, deltas)
+
+
+def test_trapped_split_hand_built_fixed_centres():
+    # on the segment, on the full circle, inside the centred disc (the probe
+    # disc is swallowed, then cuts a lens), next to the point
+    for z in (0.45 - 0.05j, 0.3j, 0.01 + 0.01j, -0.4 + 0.21j, 0j):
+        _check_split(HAND_BUILT, z, (0.01, 0.1, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# numeric quadrature inside the analytic shell bounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    r=st.fractions(F(1, 20), F(1, 2), max_denominator=60).filter(lambda r: r < F(1, 2)),
+    t=st.fractions(F(1, 1000), F(49, 100), max_denominator=1000),
+    n=st.integers(0, 1),
+    data=st.data(),
+)
+def test_numeric_inside_analytic_at_origin(r, t, n, data):
+    # over the window [2 r^(K+1), 1/4] = shells k0..K, the numeric bracket at
+    # z = 0 lies inside the sums of the analytic shell bounds (criterion 7 for
+    # random rational (r, t)); the window stops above 1e-9
+    p = ParamRT(r, t)
+    k0 = first_shell_index(p)
+    K = data.draw(st.integers(k0, max(k0, int(math.log(5e-10) / math.log(r)) - 1)))
+    quad = GammaQuadrature(delta_min=2.0 * float(r) ** (K + 1), divergence_threshold=math.inf)
+    numeric = gamma_numeric(build_domain(p, K + 2), 0j, n, quad)
+    assert numeric.verdict is Verdict.FINITE
+    log_lo, log_up = zip(*(shell_term_log_bounds(p, n, k) for k in range(k0, K + 1)))
+    assert math.exp(np.logaddexp.reduce(log_lo)) <= numeric.lower_sum
+    assert numeric.lower_sum <= numeric.upper_sum
+    assert numeric.upper_sum <= math.exp(np.logaddexp.reduce(log_up))
