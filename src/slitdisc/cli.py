@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import enum
+import functools
 import io
 import json
 import math
@@ -53,15 +54,36 @@ from .wiener import GammaQuadrature, divergence_ratio, gamma_at_origin, gamma_nu
 
 def to_jsonable(obj):
     """Lossless JSON projection: Fractions and non-finite floats to strings,
-    complex to {re, im}, dataclasses/enums unwrapped."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    complex to {re, im}, dataclasses/enums unwrapped.
+
+    Dispatches on the exact type first: records are mostly plain floats,
+    ints, strings and containers of them.  Everything else, subclasses
+    such as np.float64 and NamedTuples included, takes the isinstance
+    chain in _to_jsonable_other.
+    """
+    t = type(obj)
+    if t is float:
+        return obj if math.isfinite(obj) else _nonfinite(obj)
+    if t is str or t is int or t is bool or obj is None:
+        return obj
+    if t is tuple or t is list:
+        return [to_jsonable(v) for v in obj]
+    if t is dict:
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    return _to_jsonable_other(obj)
+
+
+def _nonfinite(x: float) -> str:
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
+
+
+def _to_jsonable_other(obj):
+    if isinstance(obj, (int, str)):  # bool is an int
         return obj
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return obj
+        return obj if math.isfinite(obj) else _nonfinite(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
@@ -247,7 +269,14 @@ def cmd_counterexample(args) -> dict:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process.
+
+    Subcommands carry no handler: main looks up cmd_<command> by name on
+    every call, so rebinding a cmd_* function after the first call takes
+    effect.
+    """
     p = argparse.ArgumentParser(prog="slitdisc", description="slit-disc capacity, Wiener criterion, and Bergman toolkit")
     p.add_argument("--version", action="version", version=f"slitdisc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -269,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fekete-n", type=int, default=0, help="also run the Fekete oracle with n points")
     sp.add_argument("--equilibrium-m", type=int, default=0, help="also run the equilibrium-measure oracle with m cells")
     common(sp)
-    sp.set_defaults(fn=cmd_capacity)
 
     sp = sub.add_parser("gamma", help="Wiener-type gamma^(n): analytic shells at 0, bracketing quadrature elsewhere")
     sp.add_argument("--r", required=True)
@@ -280,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-min", type=float, default=1e-12)
     sp.add_argument("--threshold", type=float, default=1e6)
     common(sp)
-    sp.set_defaults(fn=cmd_gamma)
 
     sp = sub.add_parser("classify", help="completeness classification by the threshold rules")
     sp.add_argument("--r", required=True)
     sp.add_argument("--t", required=True)
     common(sp)
-    sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("phase-diagram", help="classification sweep over a rational (r, t) grid")
     sp.add_argument("--r-min", default="1/20")
@@ -296,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", default="49/100")
     sp.add_argument("--t-steps", type=int, default=50)
     common(sp)
-    sp.set_defaults(fn=cmd_phase_diagram)
 
     sp = sub.add_parser("qc", help="quasi-conformal map data and parameter transport")
     sp.add_argument("--alpha", required=True)
@@ -304,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", default=None)
     sp.add_argument("--t", default="1/32")
     common(sp)
-    sp.set_defaults(fn=cmd_qc)
 
     sp = sub.add_parser("kernel", help="Bergman kernel/metric estimates on validation domains")
     sp.add_argument("--domain", choices=("disc", "punctured", "annulus"), default="disc")
@@ -317,28 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", nargs="*", default=None, help="polyline waypoints for a Bergman length")
     sp.add_argument("--samples", type=int, default=257)
     common(sp)
-    sp.set_defaults(fn=cmd_kernel)
 
     sp = sub.add_parser("counterexample", help="complete -> quasi-conformal image not complete, full chain")
     sp.add_argument("--alpha", default="2/3")
     sp.add_argument("--r", default=None)
     sp.add_argument("--t", default=None)
     common(sp)
-    sp.set_defaults(fn=cmd_counterexample)
 
     return p
 
 
 def _config_echo(args) -> dict:
-    skip = {"fn", "out"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "out"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        out = args.fn(args)
+        out = command(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -525,11 +525,13 @@ def _clip_arc(ob: ArcObstacle, zc: complex, delta: float) -> list[Obstacle]:
         return [ob] if abs(ob.center_point - zc) <= delta else []
     R = ob.radius
     d = abs(zc)
-    if d == 0.0:
-        # concentric probe: all or nothing
+    denom = 2.0 * R * d
+    if denom == 0.0:
+        # concentric probe, or |zc| so small (subnormal) that 2R|zc|
+        # underflows: all or nothing
         return [ob] if R <= delta else []
     # |R e^(i theta) - zc| <= delta  <=>  cos(theta - phi) >= u
-    u = (R * R + d * d - delta * delta) / (2.0 * R * d)
+    u = (R * R + d * d - delta * delta) / denom
     if u > 1.0:
         return []
     if u <= -1.0:

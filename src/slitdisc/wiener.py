@@ -120,7 +120,12 @@ def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float
     Every factor stays a log, so k may run past the index where the shell
     radii underflow doubles.
     """
-    k0 = check_shell_index(params, k)
+    return _shell_term_log_bounds(params, n, k, check_shell_index(params, k))
+
+
+def _shell_term_log_bounds(params: ParamRT, n: int, k: int, k0: int) -> tuple[float, float]:
+    """shell_term_log_bounds for a caller that already holds the first shell
+    index k0 and walks k >= k0."""
     r = float(params.r)
     log_r = math.log(r)
     p = 2 * n + 2
@@ -259,7 +264,7 @@ def gamma_at_origin(params: ParamRT, n: int, k_terms: int | None = None) -> Gamm
         budget = k_terms if k_terms is not None else (DIVERGENT_REPORT_TERMS if cmp.result else MAX_FINITE_TERMS)
         prev_up = None
         for k in range(k0, k0 + budget):
-            lo, up = shell_term_log_bounds(params, n, k)
+            lo, up = _shell_term_log_bounds(params, n, k, k0)
             terms_log.append((k, lo, up))
             log_lo_sum = float(np.logaddexp(log_lo_sum, lo))
             log_up_sum = float(np.logaddexp(log_up_sum, up))

@@ -1,14 +1,22 @@
 import csv
+import dataclasses
+import enum
 import io
 import json
 import math
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from slitdisc.cli import main, to_jsonable
+from slitdisc import cli
+from slitdisc.cli import build_parser, main, to_jsonable
+from slitdisc.qcmap import BeltramiData
 
 
 def run_json(capsys, argv):
@@ -200,6 +208,104 @@ def test_to_jsonable_projections():
     assert to_jsonable(float("nan")) == "nan"
     assert to_jsonable(1 + 2j) == {"im": 2.0, "re": 1.0}
     assert to_jsonable((1, [2.5, None])) == [1, [2.5, None]]
+
+
+def dumps(obj) -> str:
+    """The record encoding main uses."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+
+
+def test_to_jsonable_pinned_encodings():
+    assert dumps(np.float64(0.1)) == "0.1"
+    assert [dumps(np.float64(x)) for x in ("inf", "-inf", "nan")] == ['"inf"', '"-inf"', '"nan"']
+    assert dumps([True, 1, False, 0]) == "[\n  true,\n  1,\n  false,\n  0\n]"
+
+    class Colour(enum.Enum):
+        RED = "red"
+
+    assert dumps({"c": Colour.RED}) == '{\n  "c": "red"\n}'
+    beltrami = BeltramiData(f_z=2 + 0j, f_zbar=-0.5j, ratio=Fraction(1, 4))
+    assert json.loads(dumps(beltrami)) == {
+        "f_z": {"im": 0.0, "re": 2.0},
+        "f_zbar": {"im": -0.5, "re": -0.0},
+        "ratio": "1/4",
+    }
+
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        x: float
+        flag: bool
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        inner: Inner
+        terms: tuple
+
+    nested = Outer(Inner(float("-inf"), True), ((1, 0.5), (2, Fraction(3, 2))))
+    assert json.loads(dumps(nested)) == {"inner": {"flag": True, "x": "-inf"}, "terms": [[1, 0.5], [2, "3/2"]]}
+    assert dumps(((1, 2.5), (3,))) == "[\n  [\n    1,\n    2.5\n  ],\n  [\n    3\n  ]\n]"
+
+
+_finite_trees = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_finite_trees)
+def test_to_jsonable_finite_floats_round_trip(tree):
+    back = json.loads(dumps(tree))
+    assert back == tree
+    assert json.dumps(back, sort_keys=True) == json.dumps(tree, sort_keys=True)  # signed zeros too
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _strip_timestamp(text: str) -> str:
+    stripped, count = re.subn(r'"timestamp_utc": "[^"]*"', '"timestamp_utc": ""', text)
+    assert count == 1
+    return stripped
+
+
+def test_cached_parser_records_match_first_runs(capsys):
+    build_parser.cache_clear()
+    argvs = {
+        "classify": ["classify", "--r", "1/5", "--t", "1/100"],
+        "kernel-path": ["kernel", "--max-degree", "10", "--z", "0.1", "--path", "0", "0.5", "--samples", "17"],
+        "kernel": ["kernel", "--max-degree", "10", "--z", "0.1"],
+        "gamma": ["gamma", "--r", "1/5", "--t", "1/100", "--n", "1"],
+        "phase-diagram": ["phase-diagram", "--r-steps", "2", "--t-steps", "2"],
+    }
+
+    def record(name):
+        assert main(argvs[name]) == 0
+        return _strip_timestamp(capsys.readouterr().out)
+
+    first = {name: record(name) for name in argvs}
+    assert build_parser() is build_parser()
+    for name in ("kernel", "classify", "kernel-path", "kernel", "phase-diagram", "gamma", "kernel-path", "classify"):
+        assert record(name) == first[name], name
+    assert json.loads(first["kernel"])["config"]["path"] is None
+    assert json.loads(first["kernel-path"])["config"]["path"] == ["0", "0.5"]
+
+
+def test_main_looks_up_command_by_name(monkeypatch, capsys):
+    # a cmd_* function rebound after the parser is built still runs
+    run_json(capsys, ["classify", "--r", "1/5", "--t", "1/100"])
+    seen = []
+
+    def replacement(args):
+        seen.append((args.r, args.t))
+        return {"replaced": True}
+
+    monkeypatch.setattr(cli, "cmd_classify", replacement)
+    record = run_json(capsys, ["classify", "--r", "1/7", "--t", "1/50"])
+    assert seen == [("1/7", "1/50")]
+    assert record["results"] == {"replaced": True}
+    assert record["config"] == {"command": "classify", "format": "json", "kmax": 200, "r": "1/7", "seed": 0, "t": "1/50"}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

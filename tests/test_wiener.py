@@ -319,6 +319,17 @@ def test_gamma_numeric_probe_must_fit():
         gamma_numeric(unit_disc(), 0.8 + 0j, 0)
 
 
+def test_gamma_numeric_subnormal_centre_matches_origin():
+    # at |z| = 5e-324 the arc clip's 2R|z| underflows to 0.0; the probe is
+    # then concentric, so every cell must match z = 0 exactly
+    dom = build_domain(ParamRT(F(1, 5), F(1, 100)), 3)
+    tiny = gamma_numeric(dom, 5e-324 + 0j, 0)
+    origin = gamma_numeric(dom, 0j, 0)
+    assert tiny.verdict is origin.verdict is Verdict.FINITE
+    assert (tiny.lower_sum, tiny.upper_sum) == (origin.lower_sum, origin.upper_sum)
+    assert tiny.truncation["cells"] == origin.truncation["cells"] == 308
+
+
 def test_gamma_quadrature_validation():
     with pytest.raises(ValueError):
         GammaQuadrature(delta_min=0.3)
@@ -392,14 +403,13 @@ def _check_split(dom, z, extra_deltas=()):
         assert descriptor_contains(CompactSet(small), CompactSet(big))
 
 
-# |z| <= 3/4 keeps the probe discs inside the unit disc; a subnormal |z| is
-# left out because the reference clip of an arc divides by 2 R |z|, which
-# underflows to zero there
+# |z| <= 3/4 keeps the probe discs inside the unit disc; subnormal |z|
+# included, where the reference arc clip's 2 R |z| underflows to zero
 _admissible_z = st.one_of(
     st.just(0j),
     st.builds(
         lambda rho, phi: complex(rho * math.cos(phi), rho * math.sin(phi)),
-        st.floats(1e-300, 0.75),
+        st.floats(0.0, 0.75, exclude_min=True),
         st.floats(-math.pi, math.pi),
     ),
 )
