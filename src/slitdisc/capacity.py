@@ -6,20 +6,26 @@ underflowing arc widths.  The Fekete oracle maximizes the pairwise log-distance
 sum of n points over the set's parameterization and converts the optimum to a
 transfinite-diameter estimate.  It moves every point at once by a safeguarded
 diagonal-Newton ascent: each step is clipped to half the gap to each
-neighbour and halved until the energy does not fall.  On one arc, circle or
-segment the energy is concave on the ordered cone, so one start reaches the
-unique optimum (the Gauss-Lobatto points on a segment); a union of several
-pieces runs _N_STARTS starts to convergence and keeps the best.  The
-equilibrium routine discretizes the energy functional over midpoint cells.
+neighbour and halved until the energy does not fall, so the parameters of
+each piece stay sorted.  On one arc, circle or segment the energy is concave
+on the ordered cone, so one start reaches the unique optimum (the
+Gauss-Lobatto points on a segment); a union of several pieces runs _N_STARTS
+starts and keeps the first of the highest energy.  The starts ascend
+together as the rows of one array per piece: every sweep steps, halves and
+accepts all live starts at once, a converged start is frozen, and each start
+takes the same floating-point operations it would take alone.  `sweeps`
+counts the kept start's own iterations.  The equilibrium routine discretizes
+the energy functional over midpoint cells.
 All distance logs inside one circle or segment come from chord formulas so
 near-coincident points keep finite logs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -235,17 +241,19 @@ class _ParamPiece:
 
     def chord_slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian diagonal, in each parameter, of the sum of
-        chord logs between the points of THIS piece at parameters s."""
-        d = s[:, None] - s[None, :]
-        np.fill_diagonal(d, 1.0)  # any nonzero value; the diagonal terms are dropped
+        chord logs between the points of THIS piece at parameters s (one
+        configuration per row of a 2-D s)."""
+        d = s[..., :, None] - s[..., None, :]
+        diag = np.arange(s.shape[-1])
+        d[..., diag, diag] = 1.0  # any nonzero value; the diagonal terms are dropped
         if self.kind == "arc":
             g, h = 0.5 / np.tan(0.5 * d), -0.25 / np.sin(0.5 * d) ** 2
         else:
             g = 1.0 / d
             h = -(g**2)
-        np.fill_diagonal(g, 0.0)
-        np.fill_diagonal(h, 0.0)
-        return g.sum(axis=1), h.sum(axis=1)
+        g[..., diag, diag] = 0.0
+        h[..., diag, diag] = 0.0
+        return g.sum(axis=-1), h.sum(axis=-1)
 
 
 def _parameterize(cs: SetLike) -> list[_ParamPiece]:
@@ -298,6 +306,9 @@ class FeketeResult:
     n_starts: int  # starts actually run: 1 on a single piece, _N_STARTS on a union
     converged: bool  # the last step gained less than SWEEP_GAIN_STOP
     final_gain: float  # energy gained by the last step
+    # largest |dE/ds| over the returned points; an end point resting on lo / hi
+    # of a non-periodic piece counts only where its component points inward
+    max_gradient: float
 
 
 def _allocate(lengths: Sequence[float], n: int) -> list[int]:
@@ -317,76 +328,6 @@ def _allocate(lengths: Sequence[float], n: int) -> list[int]:
     return counts
 
 
-class _Configuration:
-    """Mutable n-point state over a multi-piece parameterization."""
-
-    def __init__(self, pieces: list[_ParamPiece], params: list[np.ndarray]):
-        self.pieces = pieces
-        self._place([np.asarray(p, dtype=float) for p in params])
-
-    def _place(self, params: list[np.ndarray]) -> None:
-        self.params = params
-        self.positions = [pc.points(p) for pc, p in zip(self.pieces, self.params)]
-        self.value = self.energy()
-
-    def energy(self) -> float:
-        E = 0.0
-        for pi, (pc, th) in enumerate(zip(self.pieces, self.params)):
-            if len(th) >= 2:
-                i, j = np.triu_indices(len(th), k=1)
-                E += float(np.sum(pc.chord_log(th[i], th[j])))
-            for qj in range(pi + 1, len(self.pieces)):
-                d = np.abs(self.positions[pi][:, None] - self.positions[qj][None, :])
-                with np.errstate(divide="ignore"):
-                    E += float(np.sum(np.log(d)))
-        return E
-
-    def _newton_step(self, pi: int) -> np.ndarray:
-        """Diagonal-Newton step of every point of piece pi, clipped to its room."""
-        pc, th = self.pieces[pi], self.params[pi]
-        g, h = pc.chord_slopes(th)
-        foreign = [self.positions[qj] for qj in range(len(self.pieces)) if qj != pi]
-        if foreign:
-            dz, ddz = pc.derivatives(th)
-            u_bar = np.conj(self.positions[pi][:, None] - np.concatenate(foreign)[None, :])
-            inv = 1.0 / np.abs(u_bar) ** 2
-            slope = (dz[:, None] * u_bar).real * inv
-            g = g + slope.sum(axis=1)
-            h = h + ((ddz[:, None] * u_bar).real * inv + np.abs(dz)[:, None] ** 2 * inv - 2.0 * slope**2).sum(axis=1)
-        # Newton where the energy curves down in this coordinate, gradient elsewhere
-        step = np.divide(-g, h, out=g.copy(), where=h < 0.0)
-        # half the gap to each neighbour, so no two points can pass each other;
-        # the end points of a non-periodic piece may reach lo / hi
-        order = np.argsort(th)
-        srt = th[order]
-        if pc.periodic:
-            half_gaps = 0.5 * np.diff(np.append(srt, srt[0] + 2.0 * math.pi))
-            room_up, room_down = half_gaps, np.roll(half_gaps, 1)
-        else:
-            half_gaps = 0.5 * np.diff(srt)
-            room_up = np.append(half_gaps, pc.hi - srt[-1])
-            room_down = np.insert(half_gaps, 0, srt[0] - pc.lo)
-        up, down = np.empty_like(th), np.empty_like(th)
-        up[order], down[order] = room_up, room_down
-        return np.clip(step, -down, up)
-
-    def ascend(self) -> float:
-        """One safeguarded diagonal-Newton step of every point at once; returns the gain.
-
-        The step is halved until the energy does not fall; a step that never
-        stops lowering it leaves the configuration unchanged and gains 0.
-        """
-        old, before = self.params, self.value
-        steps = [self._newton_step(pi) for pi in range(len(self.pieces))]
-        for _ in range(_MAX_HALVINGS):
-            self._place([th + d for th, d in zip(old, steps)])
-            if self.value >= before:
-                return self.value - before
-            steps = [0.5 * d for d in steps]
-        self._place(old)
-        return 0.0
-
-
 def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
     out = []
     for pc, cnt in zip(pieces, counts):
@@ -403,8 +344,109 @@ _MAX_HALVINGS = 53
 _N_STARTS = 8
 
 
-def _optimize(cs: SetLike, n: int, seed: int) -> FeketeResult:
-    pieces = _parameterize(cs)
+# one (starts, points) array per piece: row s of each is start s
+_Rows = list[np.ndarray]
+
+
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(m, k=1)
+
+
+def _place(pieces: list[_ParamPiece], params: _Rows) -> tuple[_Rows, np.ndarray]:
+    """Positions and energy of every start.  Each start's terms are summed as one
+    C-contiguous row: the pairwise order np.sum takes over that start alone."""
+    positions = [pc.points(th) for pc, th in zip(pieces, params)]
+    E = np.zeros(len(params[0]))
+    for pi, (pc, th) in enumerate(zip(pieces, params)):
+        if th.shape[1] >= 2:
+            i, j = _pairs(th.shape[1])
+            E += pc.chord_log(np.take(th, i, axis=1), np.take(th, j, axis=1)).sum(axis=1)
+        for z in positions[pi + 1 :]:
+            d = np.abs(positions[pi][:, :, None] - z[:, None, :])
+            with np.errstate(divide="ignore"):
+                E += np.log(d).reshape(len(d), -1).sum(axis=1)
+    return positions, E
+
+
+def _slopes(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Gradient and Hessian diagonal of every start's energy in each parameter, per piece."""
+    for pi, (pc, th) in enumerate(zip(pieces, params)):
+        g, h = pc.chord_slopes(th)
+        if len(pieces) > 1:
+            dz, ddz = pc.derivatives(th)
+            foreign = np.concatenate(positions[:pi] + positions[pi + 1 :], axis=1)
+            u_bar = np.conj(positions[pi][:, :, None] - foreign[:, None, :])
+            inv = 1.0 / np.abs(u_bar) ** 2
+            slope = (dz[:, :, None] * u_bar).real * inv
+            g = g + slope.sum(axis=2)
+            h = h + ((ddz[:, :, None] * u_bar).real * inv + np.abs(dz)[:, :, None] ** 2 * inv - 2.0 * slope**2).sum(axis=2)
+        yield g, h
+
+
+def _steps(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) -> _Rows:
+    """Diagonal-Newton step of every point of every start, clipped to half the
+    gap to each neighbour.  So no two points pass each other, and a tie has
+    energy -inf and is never accepted: each row stays sorted."""
+    steps = []
+    for pc, th, (g, h) in zip(pieces, params, _slopes(pieces, params, positions)):
+        # Newton where the energy curves down in this coordinate, gradient elsewhere
+        step = np.divide(-g, h, out=g.copy(), where=h < 0.0)
+        # room[:, k] lies between points k - 1 and k; an end point may reach lo / hi
+        room = np.empty((len(th), th.shape[1] + 1))
+        room[:, 1:-1] = 0.5 * np.diff(th, axis=1)
+        if pc.periodic:
+            room[:, 0] = room[:, -1] = 0.5 * (th[:, 0] + 2.0 * math.pi - th[:, -1])
+        else:
+            room[:, 0], room[:, -1] = th[:, 0] - pc.lo, pc.hi - th[:, -1]
+        steps.append(np.clip(step, -room[:, :-1], room[:, 1:]))
+    return steps
+
+
+def _ascend(pieces: list[_ParamPiece], params: _Rows) -> tuple[_Rows, _Rows, np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal-Newton sweeps of all live starts at once.  A start halves its step
+    until its energy does not fall, else stays put and gains 0; it is frozen once
+    a step gains less than SWEEP_GAIN_STOP or after _MAX_SWEEPS sweeps."""
+    positions, energy = _place(pieces, params)
+    sweeps = np.zeros(len(energy), dtype=int)
+    gain = np.full(len(energy), math.inf)
+    live = np.arange(len(energy))
+    while True:
+        live = live[(gain[live] >= SWEEP_GAIN_STOP) & (sweeps[live] < _MAX_SWEEPS)]
+        if not len(live):
+            return params, positions, energy, sweeps, gain
+        old, before = [th[live] for th in params], energy[live]
+        steps = _steps(pieces, old, [z[live] for z in positions])
+        sweeps[live] += 1
+        gain[live] = 0.0
+        trying = np.arange(len(live))  # rows of old still halving their step
+        for _ in range(_MAX_HALVINGS):
+            trial = [th[trying] + d for th, d in zip(old, steps)]
+            trial_positions, trial_energy = _place(pieces, trial)
+            up = trial_energy >= before[trying]
+            rows = live[trying[up]]
+            for th, z, t, tz in zip(params, positions, trial, trial_positions):
+                th[rows], z[rows] = t[up], tz[up]
+            energy[rows] = trial_energy[up]
+            gain[rows] = trial_energy[up] - before[trying[up]]
+            trying = trying[~up]
+            if not len(trying):
+                break
+            steps = [0.5 * d[~up] for d in steps]
+
+
+def _max_gradient(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) -> float:
+    """Largest |dE/ds| over the points of a one-row configuration; an end point
+    resting on lo / hi of a non-periodic piece counts only where it points inward."""
+    worst = 0.0
+    for pc, th, (g, _) in zip(pieces, params, _slopes(pieces, params, positions)):
+        if not pc.periodic:
+            g = np.where(th <= pc.lo, np.maximum(g, 0.0), np.where(th >= pc.hi, np.minimum(g, 0.0), g))
+        worst = max(worst, float(np.max(np.abs(g))))
+    return worst
+
+
+def _optimize(pieces: list[_ParamPiece], n: int, seed: int) -> FeketeResult:
     if not pieces:
         raise ValueError("polar set has no Fekete configuration")
     counts = _allocate([pc.arclength for pc in pieces], n)
@@ -412,20 +454,12 @@ def _optimize(cs: SetLike, n: int, seed: int) -> FeketeResult:
     # on one piece the energy is concave on the ordered cone, so one start
     # reaches its unique optimum; a union may hold local optima
     n_starts = 1 if len(pieces) == 1 else _N_STARTS
-    best: tuple[_Configuration, int, float] | None = None
-    for s_idx in range(n_starts):
-        rng = np.random.default_rng((int(seed), s_idx))
-        cfg = _Configuration(pieces, _seeded_params(pieces, counts, rng))
-        sweeps, gain = 0, math.inf
-        while gain >= SWEEP_GAIN_STOP and sweeps < _MAX_SWEEPS:
-            gain = cfg.ascend()
-            sweeps += 1
-        if best is None or cfg.value > best[0].value:
-            best = (cfg, sweeps, gain)
-    cfg, sweeps, gain = best
+    starts = [_seeded_params(pieces, counts, np.random.default_rng((int(seed), s))) for s in range(n_starts)]
+    params, positions, energies, sweeps, gains = _ascend(pieces, [np.array(rows) for rows in zip(*starts)])
+    k = int(np.argmax(energies))  # the first start of the highest energy
+    energy, gain = float(energies[k]), float(gains[k])
 
-    energy = cfg.value
-    pts = tuple(complex(z) for z in np.concatenate(cfg.positions))
+    pts = tuple(complex(z) for z in np.concatenate([z[k] for z in positions]))
     pair_count = n * (n - 1) / 2.0
     raw = energy / pair_count
     corrected = (energy - 0.5 * n * math.log(n)) / pair_count
@@ -435,10 +469,11 @@ def _optimize(cs: SetLike, n: int, seed: int) -> FeketeResult:
         raw_log_dn=raw,
         corrected_log_dn=corrected,
         points=pts,
-        sweeps=sweeps,
+        sweeps=int(sweeps[k]),
         n_starts=n_starts,
         converged=gain < SWEEP_GAIN_STOP,
         final_gain=gain,
+        max_gradient=_max_gradient(pieces, [th[k : k + 1] for th in params], [z[k : k + 1] for z in positions]),
     )
 
 
@@ -448,7 +483,7 @@ def fekete_points(cs: SetLike, n: int, seed: int = 0) -> FeketeResult:
         raise ValueError("need n >= 2 points")
     if isinstance(cs, CompactSet) and cs.is_polar:
         raise ValueError("polar set has no Fekete configuration")
-    return _optimize(cs, n, seed)
+    return _optimize(_parameterize(cs), n, seed)
 
 
 def fekete_log_capacity(cs: SetLike, n: int, seed: int = 0) -> LogCapacity:
@@ -457,7 +492,8 @@ def fekete_log_capacity(cs: SetLike, n: int, seed: int = 0) -> LogCapacity:
     The plain log d_n estimator carries an O(log n / n) excess; the returned
     value removes the (n/2) log n normalization (exact for circles) and
     Richardson-extrapolates the remaining O(1/n) bias against a half-size
-    run.  The raw monotone d_n sequence stays available via fekete_points.
+    run when n >= 8, which then needs n // 2 points, one per piece.  The
+    raw monotone d_n sequence stays available via fekete_points.
     """
     if isinstance(cs, CompactSet) and cs.is_polar:
         return LogCapacity(NEG_INF)
@@ -465,9 +501,14 @@ def fekete_log_capacity(cs: SetLike, n: int, seed: int = 0) -> LogCapacity:
         return LogCapacity(NEG_INF)
     if n < 2:
         raise ValueError("need n >= 2 points")
-    fine = _optimize(cs, n, seed)
+    pieces = _parameterize(cs)
+    if n >= 8 and n // 2 < len(pieces):
+        raise ValueError(
+            f"the half-size Richardson solve needs n // 2 >= {len(pieces)} points, one per piece: n={n} gives {n // 2}"
+        )
+    fine = _optimize(pieces, n, seed)
     if n >= 8:
-        coarse = _optimize(cs, n // 2, seed)
+        coarse = _optimize(pieces, n // 2, seed)
         est = 2.0 * fine.corrected_log_dn - coarse.corrected_log_dn
     else:
         est = fine.corrected_log_dn

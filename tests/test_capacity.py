@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from slitdisc import capacity
@@ -23,6 +25,7 @@ from slitdisc.capacity import (
 from slitdisc.geometry import (
     ArcObstacle,
     CompactSet,
+    DiscObstacle,
     ParamRT,
     PointObstacle,
     SegmentObstacle,
@@ -183,6 +186,29 @@ def test_fekete_reports_a_capped_ascent(monkeypatch):
     assert res.final_gain >= capacity.SWEEP_GAIN_STOP
 
 
+def test_fekete_max_gradient_tells_converged_from_capped(monkeypatch):
+    converged = fekete_points(circle(1.0), 8, seed=0)
+    # the Gauss-Lobatto end points rest on -1 and 1 with |dE/ds| near 1000,
+    # pointing outward; only the inward component counts
+    segment = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), 64, seed=0)
+    monkeypatch.setattr(capacity, "_MAX_SWEEPS", 2)
+    capped = fekete_points(circle(1.0), 16, seed=0)
+    assert converged.converged and not capped.converged
+    assert converged.max_gradient < 1e-3 * capped.max_gradient
+    assert segment.converged and segment.max_gradient < 1e-3
+
+
+def test_fekete_log_capacity_checks_the_half_size_solve_first(monkeypatch):
+    five_arcs = CompactSet(tuple(arc(1.0, 2.0 * math.pi * i / 5, 0.2) for i in range(5)))
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the half-size check")
+
+    monkeypatch.setattr(capacity, "_ascend", no_solve)
+    with pytest.raises(ValueError, match=r"n // 2 >= 5 points, one per piece: n=8 gives 4"):
+        fekete_log_capacity(five_arcs, 8)
+
+
 def test_fekete_segment_is_gauss_lobatto_n64():
     # the Fekete set of [-1, 1] is +-1 and the zeros of P'_{n-1} (Stieltjes)
     n = 64
@@ -213,6 +239,201 @@ def test_fekete_single_start_matches_best_of_eight_seeds():
     best = max(fekete_points(quarter, 16, seed=s).energy for s in range(8))
     assert one.n_starts == 1
     assert one.energy == pytest.approx(best, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the batched ascent against the serial one it replaced
+
+
+class _Configuration:
+    """Serial reference: one start's n-point state, moved piece by piece."""
+
+    def __init__(self, pieces, params):
+        self.pieces = pieces
+        self._place([np.asarray(p, dtype=float) for p in params])
+
+    def _place(self, params):
+        self.params = params
+        self.positions = [pc.points(p) for pc, p in zip(self.pieces, self.params)]
+        self.value = self.energy()
+
+    def energy(self):
+        E = 0.0
+        for pi, (pc, th) in enumerate(zip(self.pieces, self.params)):
+            if len(th) >= 2:
+                i, j = np.triu_indices(len(th), k=1)
+                E += float(np.sum(pc.chord_log(th[i], th[j])))
+            for qj in range(pi + 1, len(self.pieces)):
+                d = np.abs(self.positions[pi][:, None] - self.positions[qj][None, :])
+                with np.errstate(divide="ignore"):
+                    E += float(np.sum(np.log(d)))
+        return E
+
+    def _newton_step(self, pi):
+        pc, th = self.pieces[pi], self.params[pi]
+        g, h = pc.chord_slopes(th)
+        foreign = [self.positions[qj] for qj in range(len(self.pieces)) if qj != pi]
+        if foreign:
+            dz, ddz = pc.derivatives(th)
+            u_bar = np.conj(self.positions[pi][:, None] - np.concatenate(foreign)[None, :])
+            inv = 1.0 / np.abs(u_bar) ** 2
+            slope = (dz[:, None] * u_bar).real * inv
+            g = g + slope.sum(axis=1)
+            h = h + ((ddz[:, None] * u_bar).real * inv + np.abs(dz)[:, None] ** 2 * inv - 2.0 * slope**2).sum(axis=1)
+        step = np.divide(-g, h, out=g.copy(), where=h < 0.0)
+        order = np.argsort(th)
+        srt = th[order]
+        if pc.periodic:
+            half_gaps = 0.5 * np.diff(np.append(srt, srt[0] + 2.0 * math.pi))
+            room_up, room_down = half_gaps, np.roll(half_gaps, 1)
+        else:
+            half_gaps = 0.5 * np.diff(srt)
+            room_up = np.append(half_gaps, pc.hi - srt[-1])
+            room_down = np.insert(half_gaps, 0, srt[0] - pc.lo)
+        up, down = np.empty_like(th), np.empty_like(th)
+        up[order], down[order] = room_up, room_down
+        return np.clip(step, -down, up)
+
+    def ascend(self):
+        old, before = self.params, self.value
+        steps = [self._newton_step(pi) for pi in range(len(self.pieces))]
+        for _ in range(capacity._MAX_HALVINGS):
+            self._place([th + d for th, d in zip(old, steps)])
+            if self.value >= before:
+                return self.value - before
+            steps = [0.5 * d for d in steps]
+        self._place(old)
+        return 0.0
+
+
+def _serial_fekete(cs, n, seed):
+    """The fields of fekete_points as the start-by-start ascent computes them."""
+    pieces = capacity._parameterize(cs)
+    counts = capacity._allocate([pc.arclength for pc in pieces], n)
+    n_starts = 1 if len(pieces) == 1 else capacity._N_STARTS
+    best = None
+    for s_idx in range(n_starts):
+        rng = np.random.default_rng((int(seed), s_idx))
+        cfg = _Configuration(pieces, capacity._seeded_params(pieces, counts, rng))
+        sweeps, gain = 0, math.inf
+        while gain >= capacity.SWEEP_GAIN_STOP and sweeps < capacity._MAX_SWEEPS:
+            gain = cfg.ascend()
+            sweeps += 1
+        if best is None or cfg.value > best[0].value:
+            best = (cfg, sweeps, gain)
+    cfg, sweeps, gain = best
+    return {
+        "energy": cfg.value,
+        "points": tuple(complex(z) for z in np.concatenate(cfg.positions)),
+        "sweeps": sweeps,
+        "n_starts": n_starts,
+        "converged": gain < capacity.SWEEP_GAIN_STOP,
+        "final_gain": gain,
+    }
+
+
+def _fields(res):
+    return {f: getattr(res, f) for f in ("energy", "points", "sweeps", "n_starts", "converged", "final_gain")}
+
+
+def _piece(kind, slot, a, b, c):
+    """A piece of the given kind inside annulus `slot` (radii 3 slot + 1 to 3 slot + 2),
+    so pieces in distinct slots are disjoint; a, b, c in [0, 1) place it."""
+    lo = 3.0 * slot + 1.0
+    phi = 2.0 * math.pi * a
+    if kind == "arc":
+        return arc(lo + b, phi, 0.05 + (math.pi - 0.05) * c)
+    if kind == "segment":
+        # both ends in the annulus, less than 0.3 rad apart: the chord stays outside radius lo cos(0.15)
+        r0, r1 = lo + 0.5 * b, lo + 0.5 + 0.5 * c
+        return SegmentObstacle(complex(r0 * math.cos(phi), r0 * math.sin(phi)), r1 * complex(math.cos(phi + 0.3 * b), math.sin(phi + 0.3 * b)))
+    return DiscObstacle(complex((lo + 0.5) * math.cos(phi), (lo + 0.5) * math.sin(phi)), 0.1 + 0.3 * b)
+
+
+def _arcs_on_one_circle(radius, offset, widths):
+    k = len(widths)
+    return CompactSet(tuple(arc(radius, offset + 2.0 * math.pi * i / k, (0.05 + 0.85 * w) * math.pi / k) for i, w in enumerate(widths)))
+
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_compact_sets = st.one_of(
+    st.builds(
+        lambda spec: CompactSet(tuple(_piece(kind, slot, a, b, c) for slot, (kind, a, b, c) in enumerate(spec))),
+        st.lists(st.tuples(st.sampled_from(("arc", "segment", "disc")), _unit, _unit, _unit), min_size=1, max_size=3),
+    ),
+    st.builds(_arcs_on_one_circle, st.floats(0.5, 2.0), _unit, st.lists(_unit, min_size=2, max_size=3)),
+)
+
+
+# a fifth of the profile's examples: each one runs up to 8 serial starts
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
+@given(cs=_compact_sets, extra=st.integers(0, 15), seed=st.integers(0, 2**16))
+def test_fekete_batched_ascent_matches_serial_reference(cs, extra, seed):
+    n = max(2, min(len(cs.pieces) + extra, 16))
+    assert _fields(fekete_points(cs, n, seed=seed)) == _serial_fekete(cs, n, seed)
+
+
+def _two_unit_arcs():
+    return CompactSet((arc(1.0, 0.0, 0.5), arc(1.0, math.pi, 0.5)))
+
+
+_DISC_SEGMENT_ARC = CompactSet(
+    (DiscObstacle(0.2 + 0.1j, 0.3), SegmentObstacle(0.8 + 0j, 1.5 + 0.5j), arc(2.0, math.pi / 2, 0.5))
+)
+
+
+def test_fekete_pinned_two_arcs_n8():
+    res = fekete_points(_two_unit_arcs(), 8, seed=3)
+    assert res.energy == 2.231612261697194
+    assert res.raw_log_dn == 0.07970043791775692
+    assert res.corrected_log_dn == -0.21736263946507675
+    assert res.points == (
+        (0.8775825618903728 - 0.479425538604203j),
+        (0.9776241040447362 - 0.21035948086722098j),
+        (0.9776241228079502 + 0.2103593936670905j),
+        (0.8775825618903728 + 0.479425538604203j),
+        (-0.8775825618903726 + 0.4794255386042031j),
+        (-0.9776241078168798 + 0.2103594633365701j),
+        (-0.9776241206118934 - 0.21035940387304317j),
+        (-0.8775825618903728 - 0.4794255386042029j),
+    )
+    assert (res.sweeps, res.n_starts, res.converged) == (11, 8, True)
+    assert res.final_gain == 8.113509863960644e-12
+    assert fekete_log_capacity(_two_unit_arcs(), 8, seed=3).log_value == -0.37719069684045636
+
+
+def test_fekete_pinned_two_arcs_n4():
+    res = fekete_points(_two_unit_arcs(), 4, seed=3)
+    assert res.energy == 2.427381229701598
+    assert res.raw_log_dn == 0.4045635382835997
+    assert res.corrected_log_dn == -0.05753458208969716
+    assert res.points == (
+        (0.8775825618903728 - 0.479425538604203j),
+        (0.8775825618903728 + 0.479425538604203j),
+        (-0.8775825618903726 + 0.4794255386042031j),
+        (-0.8775825618903728 - 0.4794255386042029j),
+    )
+    assert (res.sweeps, res.n_starts, res.converged) == (2, 8, True)
+    assert res.final_gain == 0.0
+
+
+def test_fekete_pinned_disc_segment_arc_n8():
+    res = fekete_points(_DISC_SEGMENT_ARC, 8, seed=0)
+    assert res.energy == 9.298500814312826
+    assert res.raw_log_dn == 0.33208931479688664
+    assert res.corrected_log_dn == 0.03502623741405296
+    assert res.points == (
+        (-0.0028226500822196854 - 0.1210497062056981j),
+        (0.36770661965447626 - 0.14874583358132623j),
+        (-0.040283102182608 + 0.27962191070552156j),
+        (1.161778053376633 + 0.25841289526902367j),
+        (1.5 + 0.5j),
+        (0.9588510772084061 + 1.7551651237807453j),
+        (-0.26876714635454046 + 1.9818587792878777j),
+        (-0.9588510772084059 + 1.7551651237807455j),
+    )
+    assert (res.sweeps, res.n_starts, res.converged) == (31, 8, True)
+    assert res.final_gain == 5.809042136206699e-11
 
 
 def test_equilibrium_circle():
