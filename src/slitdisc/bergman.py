@@ -41,8 +41,8 @@ class QuadratureConfig:
     """Polar quadrature: `radial_order` Gauss-Legendre nodes per radial panel.
 
     The angular integral of |(z/R)^n|^2 is exactly 2 pi, so no angular grid is
-    built.  `angular_points` is only validated (and checked against the basis
-    degree by `gram_matrix`), for callers that still size it."""
+    built.  `angular_points` sizes no computation; it is only validated, for
+    callers that still read it."""
 
     radial_order: int = 64
     angular_points: int = 512
@@ -138,12 +138,6 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 def gram_matrix(basis: BasisSpec, quad: QuadratureConfig) -> np.ndarray:
     """Diagonal of the Gram matrix, g_n = <b_n, b_n> = 2 pi int (s/R)^(2n) s ds
     over the radial panels; the off-diagonal entries vanish by radial symmetry."""
-    max_abs_degree = int(max(abs(basis.min_degree), abs(basis.max_degree)))
-    if quad.angular_points < 4 * max_abs_degree + 8:
-        raise ValueError(
-            f"angular_points {quad.angular_points} too coarse for max degree {max_abs_degree}; "
-            f"need at least {4 * max_abs_degree + 8}"
-        )
     edges = np.array(_radial_edges(basis.domain))
     x, wx = _legendre_rule(quad.radial_order)
     half = 0.5 * np.diff(edges)[:, None]

@@ -3,7 +3,7 @@
 gamma_D^(n)(z) integrates d(delta) / (delta^(2n+3) * (-log cap of the part of
 the removed set within delta of z)) over (0, 1/4].  At z = 0 the radial range
 splits into shells trapping one arc each, and every shell term is sandwiched
-between closed-form bounds whose ratio from shell to shell is t / r^(2n+2).
+between closed-form bounds whose ratio from shell to shell tends to t / r^(2n+2).
 Divergence is therefore decided analytically by that ratio (exactly, when the
 parameters are rational); quadrature only ever brackets finite windows.
 """
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -63,52 +62,32 @@ class Verdict(Enum):
 
 
 # ---------------------------------------------------------------------------
-# the reciprocal-log weight g and its tails
+# the reciprocal-log weight g, its tails and the shell terms, in one array pass
+
+LOG2 = math.log(2.0)
+LOG_EPS = -53 * LOG2  # e_j below 2^-53 leaves 1 + e_j == 1 in doubles
 
 
-def log_g(params: ParamRT, j: int) -> float:
-    """log of g(j) = 1 / (t^-j + j log(1/r)), the reciprocal of -log cap of arc j.
+def log_g(params: ParamRT, j):
+    """log of g(j) = 1 / (t^-j + j log(1/r)), the reciprocal of -log cap of arc j,
+    for an int or an array of j.
 
     Computed entirely in log-domain: t^-j overflows floats long before the
     family runs out of interesting indices.
     """
-    r = float(params.r)
-    t = float(params.t)
-    a = -j * math.log(t)  # log of t^-j
-    b = math.log(j * (-math.log(r)))  # log of j log(1/r)
-    return float(-np.logaddexp(a, b))
+    log_t, log_inv_r = math.log(float(params.t)), -math.log(float(params.r))
+    return -np.logaddexp(-j * log_t, np.log(j * log_inv_r))
 
 
-@lru_cache(maxsize=32)
-def _log_g_tails(params: ParamRT, k_max: int) -> np.ndarray:
-    """log of sum_{j >= k} g(j) for k = 1..k_max, with the infinite remainder
-    beyond the working range bounded off by the geometric decay g(j) <= t^j."""
-    t = float(params.t)
-    extra = int(math.ceil(18.0 * math.log(10.0) / (-math.log(t)))) + 4
-    hi = k_max + extra
-    logs = np.array([log_g(params, j) for j in range(1, hi + 1)])
-    # remainder above index hi: sum_{j > hi} g(j) <= t^(hi+1) / (1 - t)
-    rem = (hi + 1) * math.log(t) - math.log1p(-t)
-    acc = np.logaddexp.accumulate(logs[::-1])[::-1]
-    acc = np.logaddexp(acc, rem)
-    return acc[:k_max]
+def _log_e(j: int, log_t: float, log_inv_r: float) -> float:
+    """log of e_j = j log(1/r) t^j: g(j) = t^j / (1 + e_j), falling for j >= 2 as t < 1/2."""
+    return math.log(j) + math.log(log_inv_r) + j * log_t
 
 
-def log_tail_g(params: ParamRT, k: int) -> float:
-    """log of sum_{j >= k} g(j)."""
-    # bucket the cache key so repeated sweeps over k reuse one array
-    hi = 64
-    while hi < k:
-        hi *= 2
-    return float(_log_g_tails(params, hi)[k - 1])
-
-
-# ---------------------------------------------------------------------------
-# shell term bounds
-
-
-def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float]:
-    """Log-domain sandwich for the k-th shell's contribution to gamma^(n)(0).
+def _shell_logs(params: ParamRT, n: int, k0: int, k_stop: int):
+    """(log g-tails for j = 1..J, shells k0..k_stop (none if k_stop < k0), their
+    log lower and upper bounds, a bound A on the summed magnitudes of any log
+    term's components), in one array pass.
 
     First shell (clamped at outer radius 1/4):
         lower = (1/4 - 2r^(k0+1)) * 4^(2n+3) * g(k0+1)
@@ -117,27 +96,40 @@ def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float
     shells [2r^(k+1), 2r^k]:
         lower = (2r^k)^(-2n-2) * (1-r) * g(k+1)
         upper = (2r^(k+1))^(-2n-2) * (1/r - 1) * sum_{j>=k} g(j)
-    Every factor stays a log, so k may run past the index where the shell
-    radii underflow doubles.
+    The weights run to the first J > k_stop with e_J < 2^-53, and past J
+    g(j) <= t^j closes the tails within 2^-53.  Every factor stays a log, so
+    k may run past the index where the shell radii underflow doubles.
     """
-    return _shell_term_log_bounds(params, n, k, check_shell_index(params, k))
-
-
-def _shell_term_log_bounds(params: ParamRT, n: int, k: int, k0: int) -> tuple[float, float]:
-    """shell_term_log_bounds for a caller that already holds the first shell
-    index k0 and walks k >= k0."""
-    r = float(params.r)
-    log_r = math.log(r)
+    r, t = float(params.r), float(params.t)
+    log_r, log_t = math.log(r), math.log(t)
+    J = next(j for j in itertools.count(k_stop + 1) if _log_e(j, log_t, -log_r) < LOG_EPS)
+    lg = log_g(params, np.arange(1, J + 1))
+    rem = (J + 1) * log_t - math.log1p(-t)  # log of t^(J+1) / (1 - t)
+    tails = np.logaddexp.accumulate(np.append(lg, rem)[::-1])[:0:-1]
+    k = np.arange(k0, k_stop + 1)
     p = 2 * n + 2
-    if k == k0:
-        width = 0.25 - 2.0 * r ** (k0 + 1)
+    lower = -p * (LOG2 + k * log_r) + math.log1p(-r) + lg[k]
+    upper = -p * (LOG2 + (k + 1) * log_r) + math.log(1.0 / r - 1.0) + tails[k - 1]
+    # radial factors and constants, and |log g(J)|, above every |log g| and |log tail|
+    magnitude = (2 * n + 3) * (3 * LOG2 + (k_stop + 2) * -log_r) + abs(float(lg[-1]))
+    if k.size:
+        log_width = math.log(0.25 - 2.0 * r ** (k0 + 1))
         jmin = first_trapped_index(params)  # equals k0 except at r = 1/2
-        lower = math.log(width) + (2 * n + 3) * math.log(4.0) + log_g(params, k0 + 1)
-        upper = math.log(width) - (2 * n + 3) * (math.log(2.0) + (k0 + 1) * log_r) + log_tail_g(params, jmin)
-    else:
-        lower = -p * (math.log(2.0) + k * log_r) + math.log1p(-r) + log_g(params, k + 1)
-        upper = -p * (math.log(2.0) + (k + 1) * log_r) + math.log(1.0 / r - 1.0) + log_tail_g(params, k)
-    return lower, upper
+        lower[0] = log_width + (2 * n + 3) * math.log(4.0) + lg[k0]
+        upper[0] = log_width - (2 * n + 3) * (LOG2 + (k0 + 1) * log_r) + tails[jmin - 1]
+        magnitude += abs(log_width)
+    return tails, k, lower, upper, magnitude
+
+
+def log_tail_g(params: ParamRT, k: int) -> float:
+    """log of sum_{j >= k} g(j), over by less than 2^-53 relative."""
+    return float(_shell_logs(params, 0, k + 1, k)[0][k - 1])
+
+
+def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float]:
+    """Log-domain sandwich for the k-th shell's contribution to gamma^(n)(0)."""
+    _, _, lower, upper, _ = _shell_logs(params, n, check_shell_index(params, k), k)
+    return float(lower[-1]), float(upper[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ class GammaReport:
     n: int
     z: complex
     verdict: Verdict
-    value: float  # truncated integral when Finite, inf when Divergent
+    value: float  # upper_sum when Finite, inf when Divergent
     shell_terms: tuple[tuple[int, float, float], ...]
     ratio: object  # t / r^(2n+2) when the domain is a family member, else None
     truncation: dict
@@ -227,86 +219,93 @@ class GammaReport:
                 raise ValueError(f"shell term {k}: lower {lo} exceeds upper {up}")
 
 
-MAX_FINITE_TERMS = 6000
 DIVERGENT_REPORT_TERMS = 40
-TAIL_RELATIVE_CUT = 1e-18
 
 
-def gamma_at_origin(params: ParamRT, n: int, k_terms: int | None = None) -> GammaReport:
+def _log_fraction(x: Fraction) -> float:
+    """log of a positive Fraction, also one below the double range."""
+    s = x.denominator.bit_length() - x.numerator.bit_length()
+    return math.log(float(x * Fraction(2) ** s)) - s * LOG2
+
+
+def _finite_shells(params: ParamRT, n: int, k0: int):
+    """(_shell_logs up to K, log lower and upper remainders past K, sigma_K, rho_K,
+    magnitude of the remainders' logs), K the first k > k0 with e_k below 2^-53
+    and (1 - q)/2.  As e_j falls, upper_{k+1} / upper_k <= rho_K = q (1 + e_K) < 1
+    and lower_{k+1} / lower_k >= sigma_K = q / (1 + e_{K+2}) for all k >= K: the
+    remainders are at most upper_K rho_K / (1 - rho_K) and at least
+    lower_K sigma_K / (1 - sigma_K).  1 - q comes exactly from Fractions."""
+    q = Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
+    log_q, log_1mq = _log_fraction(q), _log_fraction(1 - q)
+    log_t, log_inv_r = math.log(float(params.t)), -math.log(float(params.r))
+    K = next(k for k in itertools.count(k0 + 1) if _log_e(k, log_t, log_inv_r) < min(LOG_EPS, log_1mq - LOG2))
+    logs = _shell_logs(params, n, k0, K)
+    log_e_up, log_e_lo = _log_e(K, log_t, log_inv_r), _log_e(K + 2, log_t, log_inv_r)
+    log_rho = log_q + math.log1p(math.exp(log_e_up))
+    log_sigma = log_q - math.log1p(math.exp(log_e_lo))
+    # 1 - rho = (1 - q) - q e_K;  1 - sigma = ((1 - q) + e_{K+2}) / (1 + e_{K+2})
+    log_1m_rho = log_1mq + math.log1p(-math.exp(log_q + log_e_up - log_1mq))
+    log_1m_sigma = float(np.logaddexp(log_1mq, log_e_lo)) - math.log1p(math.exp(log_e_lo))
+    lower = float(logs[2][-1]) + log_sigma - log_1m_sigma
+    upper = float(logs[3][-1]) + log_rho - log_1m_rho
+    return logs, lower, upper, math.exp(log_sigma), math.exp(log_rho), abs(log_q) + abs(log_1mq) + 1.0
+
+
+def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
     """gamma^(n)(0) for D^{r,t} via the analytic shell decomposition.
 
     The verdict never comes from the numeric sums: the shell sandwich makes
-    the series two-sided geometric with ratio t / r^(2n+2), so divergence is
-    exactly ratio >= 1 (inclusive at the boundary, where the terms stay
-    bounded below).  When finite, lower and upper sums of the sandwich are
-    accumulated in one log-domain pass until the upper terms fall below a
-    1e-18 relative cut, and the geometric remainder is folded into the upper
-    sum once.
+    the series two-sided geometric with ratio q = t / r^(2n+2), so
+    divergence is exactly q >= 1 (inclusive at the boundary, where the terms
+    stay bounded below).  Divergent reports carry a fixed window of 40
+    shells; finite ones add the remainders of _finite_shells, so they bound
+    the whole infinite sandwich sums.  A rounding moves a log by at most
+    2^-53 A, A the magnitudes of _shell_logs and the remainders; a term and
+    its g-tail take at most 16 (library calls count twice, and the tail
+    recursion damps carried errors by t < 1/2), the sum one per term.  So
+    both sums are widened outward by 2^-53 (N + 16) A in log (log_margin).
     """
     cmp = _ratio_at_least_one(params, n)
     ratio = divergence_ratio(params, n)
     flags = list(params.flags())
     if cmp.boundary_warning:
         flags.append(FLAG_GUARD_BAND)
+    if cmp.result and (cmp.boundary_warning or ratio == 1):
+        flags.append(FLAG_RATIO_ONE)
     have_shells = not (params.r > Fraction(1, 2))
     if not have_shells:
         flags.append(FLAG_NO_SHELLS)
 
-    terms_log: list[tuple[int, float, float]] = []
-    truncation: dict = {"mode": "analytic-shells", "tail_relative_cut": TAIL_RELATIVE_CUT}
-    log_lo_sum = log_up_sum = NEG_INF
-    tail_rel = 0.0
-
+    truncation: dict = {"mode": "analytic-shells"}
+    terms_log, lower_sum, upper_sum = (), 0.0, 0.0
     if have_shells:
         k0 = first_shell_index(params)
-        truncation["k_start"] = k0
-        # divergent: a fixed window of growing terms; finite: sum to the relative cut
-        budget = k_terms if k_terms is not None else (DIVERGENT_REPORT_TERMS if cmp.result else MAX_FINITE_TERMS)
-        prev_up = None
-        for k in range(k0, k0 + budget):
-            lo, up = _shell_term_log_bounds(params, n, k, k0)
-            terms_log.append((k, lo, up))
-            log_lo_sum = float(np.logaddexp(log_lo_sum, lo))
-            log_up_sum = float(np.logaddexp(log_up_sum, up))
-            if not cmp.result and up < log_up_sum + math.log(TAIL_RELATIVE_CUT):
-                q = min(math.exp(up - prev_up) if prev_up is not None else 0.5, 0.999999)
-                tail_rel = TAIL_RELATIVE_CUT * q / (1.0 - q)
-                truncation["tail_relative_bound"] = tail_rel
-                truncation["converged"] = True
-                break
-            prev_up = up
+        if cmp.result:
+            logs = _shell_logs(params, n, k0, k0 + DIVERGENT_REPORT_TERMS - 1)
+            lo_rest, up_rest, rest_size = NEG_INF, NEG_INF, 0.0
         else:
-            truncation["converged"] = False
-            if not cmp.result:
-                flags.append("term budget exhausted before the relative cut; the upper sum omits the unresolved tail")
-        truncation["k_stop"] = k0 + len(terms_log) - 1
-        if cmp.result and ratio == 1:
-            flags.append(FLAG_RATIO_ONE)
+            logs, lo_rest, up_rest, sigma, rho, rest_size = _finite_shells(params, n, k0)
+            truncation["tail_ratios"] = (sigma, rho)
+        _, k, lower, upper, size = logs
+        margin = 2.0**-53 * (k.size + 16) * (size + rest_size)
+        lower_sum = exp_or_inf(float(np.logaddexp.reduce(lower, initial=lo_rest)) - margin)
+        upper_sum = exp_or_inf(float(np.logaddexp.reduce(upper, initial=up_rest)) + margin)
+        terms_log = tuple(zip(k.tolist(), lower.tolist(), upper.tolist()))
+        truncation.update(k_start=k0, k_stop=terms_log[-1][0], converged=not cmp.result, log_margin=margin)
 
-    lower_sum = exp_or_inf(log_lo_sum)
-    upper_sum = exp_or_inf(log_up_sum) * (1.0 + tail_rel)
-
-    if cmp.result:
-        verdict = Verdict.DIVERGENT
-        value = INF
-    else:
-        verdict = Verdict.FINITE
-        value = upper_sum if have_shells else math.nan
-        if not have_shells:
-            flags.append("value not computed without a shell decomposition")
-
-    terms_lin = tuple((k, exp_or_inf(lo), exp_or_inf(up)) for k, lo, up in terms_log)
+    if not (cmp.result or have_shells):
+        flags.append("value not computed without a shell decomposition")
     return GammaReport(
         n=n,
         z=0j,
-        verdict=verdict,
-        value=value,
-        shell_terms=terms_lin,
+        verdict=Verdict.DIVERGENT if cmp.result else Verdict.FINITE,
+        value=INF if cmp.result else upper_sum if have_shells else math.nan,
+        shell_terms=tuple((k, exp_or_inf(lo), exp_or_inf(up)) for k, lo, up in terms_log),
         ratio=ratio,
         truncation=truncation,
         lower_sum=lower_sum,
         upper_sum=upper_sum,
-        shell_terms_log=tuple(terms_log),
+        shell_terms_log=terms_log,
         flags=tuple(flags),
     )
 

@@ -187,11 +187,6 @@ def test_condition_cap_trips():
         kernel_at(laurent(annulus(0.5), -40, 10), QUAD, 0.7 + 0j)
 
 
-def test_coarse_angular_grid_rejected():
-    with pytest.raises(ValueError, match="too coarse"):
-        gram_matrix(monomials(unit_disc(), 30), QuadratureConfig(angular_points=64))
-
-
 def test_quadrature_and_basis_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(radial_order=1)

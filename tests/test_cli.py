@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from shell_reference import sandwich_sums
 
 from slitdisc import cli
 from slitdisc.cli import build_parser, main, to_jsonable
@@ -93,10 +94,13 @@ def test_gamma_analytic_record(capsys):
 
 
 def test_gamma_analytic_past_radius_underflow(capsys):
-    # the finite tail runs past k = 275, where the shell radius 2r^(k+1) underflows
+    # the finite tail runs past k = 275, where the shell radius 2r^(k+1)
+    # underflows; the record's bracket holds the 50-digit sums of all shells
     rep = run_json(capsys, ["gamma", "--r", "1/15", "--t", "1/56250", "--n", "1"])["results"]["report"]
     assert rep["verdict"] == "Finite"
-    assert rep["truncation"]["converged"] is True and rep["truncation"]["k_stop"] > 275
+    assert rep["truncation"]["converged"] is True
+    lower, upper = sandwich_sums(Fraction(1, 15), Fraction(1, 56250), 1)
+    assert rep["lower_sum"] <= lower and upper <= rep["upper_sum"]
 
 
 def test_gamma_numeric_path(capsys):
@@ -155,6 +159,14 @@ def test_kernel_record(capsys):
     assert est["kernel"] == pytest.approx(1.0 / (math.pi * 0.5625), rel=1e-9)
     assert est["metric"] == pytest.approx(2.0 / 0.5625, rel=1e-9)
     assert est["basis_size"] == 31
+
+
+def test_kernel_high_degree_needs_no_angular_grid(capsys):
+    # degree 130 with the default 512 angular points: the moments are radial
+    # only, so nothing bounds the degree by the angular count
+    est = run_json(capsys, ["kernel", "--max-degree", "130", "--z", "0.5"])["results"]["estimate"]
+    assert est["basis_size"] == 131
+    assert est["kernel"] == pytest.approx(1.0 / (math.pi * 0.5625), rel=1e-12)
 
 
 def test_kernel_path_length(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shell_reference import sandwich_sums
 
 from slitdisc.capacity import union_log_capacity
 from slitdisc.geometry import (
@@ -69,7 +70,8 @@ def test_log_g_sandwich_exact():
 
 def test_log_tail_recursion():
     p = ParamRT(F(1, 5), F(3, 10))
-    # tail(k) = g(k) + tail(k+1), including across the cache-bucket edge at 64
+    # tail(k) = g(k) + tail(k+1), each tail from its own weights array and
+    # closed remainder
     for k in (1, 5, 63, 64, 65, 127, 128):
         whole = math.exp(log_tail_g(p, k))
         split = math.exp(log_g(p, k)) + math.exp(log_tail_g(p, k + 1))
@@ -112,21 +114,24 @@ def test_shell_bounds_ordered():
 
 
 def test_shell_linear_overflow_clips_to_inf():
-    rep = gamma_at_origin(ParamRT(F(1, 10), F(2, 5)), 2, k_terms=60)
+    # the default 40-shell window of a divergent pair already leaves the
+    # double range at its last shell
+    rep = gamma_at_origin(ParamRT(F(1, 100), F(2, 5)), 2)
     k, lo_log, up_log = rep.shell_terms_log[-1]
-    assert k == 60 and math.isfinite(lo_log) and math.isfinite(up_log)
-    assert rep.shell_terms[-1] == (60, math.inf, math.inf)
+    assert k == 40 and math.isfinite(lo_log) and math.isfinite(up_log)
+    assert rep.shell_terms[-1] == (40, math.inf, math.inf)
 
 
 def test_shell_terms_past_radius_underflow():
-    # ratio t / r^4 = 9/10: the finite tail runs past k = 275, where the
-    # shell radius 2r^(k+1) underflows doubles; the log-domain sum carries on
+    # ratio t / r^4 = 9/10: the tail runs on past k = 275, where the shell
+    # radius 2r^(k+1) underflows doubles; the closed-form remainder covers
+    # it, so the bracket holds the 50-digit sums of every shell
     p = ParamRT(F(1, 15), F(1, 56250))
     assert 2.0 * (1 / 15) ** 276 == 0.0
     rep = gamma_at_origin(p, 1)
-    assert rep.verdict is Verdict.FINITE
-    assert rep.truncation["converged"] and rep.truncation["k_stop"] > 275
-    assert rep.lower_sum <= rep.upper_sum
+    assert rep.verdict is Verdict.FINITE and rep.truncation["converged"]
+    lower, upper = sandwich_sums(F(1, 15), F(1, 56250), 1)
+    assert rep.lower_sum <= lower and upper <= rep.upper_sum
 
 
 def test_deep_shell_log_bounds_vs_mpmath():
@@ -220,8 +225,11 @@ def test_gamma_origin_finite_frozen_sums():
     assert rep.lower_sum == pytest.approx(0.0012543159601157, rel=1e-9)
     assert rep.upper_sum == pytest.approx(5.405120739404772, rel=1e-9)
     assert rep.value == rep.upper_sum
-    assert rep.truncation["converged"] and rep.truncation["k_stop"] == 32
-    assert rep.truncation["tail_relative_bound"] < 1e-17
+    # K is the first k >= 2 with k log(5) 100^-k below 2^-53; past it both
+    # sums close with ratios q = 1/4 to the last bit
+    assert rep.truncation["converged"] and rep.truncation["k_stop"] == 9
+    sigma, rho = rep.truncation["tail_ratios"]
+    assert sigma <= 0.25 <= rho and rho - sigma <= 1e-16
     assert 0.0 < rep.lower_sum < rep.upper_sum
 
 
@@ -247,11 +255,57 @@ def test_gamma_origin_no_shell_decomposition():
     assert divergent.verdict is Verdict.DIVERGENT and divergent.value == math.inf
 
 
-def test_gamma_origin_budget_exhausted_flagged():
-    rep = gamma_at_origin(ParamRT(F(1, 5), F(1, 100)), 0, k_terms=5)
-    assert not rep.truncation["converged"]
-    assert any("budget" in f for f in rep.flags)
-    assert len(rep.shell_terms) == 5
+def test_gamma_origin_ratio_one_inside_guard_band():
+    # 0.04 sits within the guard band of 0.2**2 = 0.04000000000000001, and
+    # 0.2 * 0.2 is that float itself: both are ratio one
+    for t in (0.04, 0.2 * 0.2):
+        rep = gamma_at_origin(ParamRT(0.2, t), 0)
+        assert rep.verdict is Verdict.DIVERGENT
+        assert FLAG_RATIO_ONE in rep.flags and FLAG_GUARD_BAND in rep.flags
+    assert FLAG_RATIO_ONE not in gamma_at_origin(ParamRT(0.2, 0.041), 0).flags
+
+
+def _assert_inside(r, t, n, rel=None):
+    """The report brackets the 50-digit sandwich sums with no tolerance, and
+    within rel of them when rel is given."""
+    rep = gamma_at_origin(ParamRT(r, t), n)
+    assert rep.verdict is Verdict.FINITE
+    lower, upper = sandwich_sums(r, t, n)
+    assert rep.lower_sum <= lower, (r, t, n)
+    assert upper <= rep.upper_sum, (r, t, n)
+    if rel is not None:
+        assert rep.lower_sum >= lower * (1 - rel), (r, t, n)
+        assert rep.upper_sum <= upper * (1 + rel), (r, t, n)
+
+
+@pytest.mark.parametrize(
+    "q, n",
+    [
+        (F(999, 1000), 0),  # stopped on the old 6000-term budget below the true sum
+        (F(9, 10), 0),
+        (1 - F(1, 2**10), 0),
+        (1 - F(1, 2**20), 0),
+        (1 - F(1, 2**40), 1),
+    ],
+)
+def test_gamma_origin_brackets_near_ratio_one(q, n):
+    r = F(1, 5)
+    _assert_inside(r, q * r ** (2 * n + 2), n, rel=1e-12 if q <= F(99, 100) else None)
+
+
+@settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
+@given(
+    r=st.fractions(F(1, 20), F(1, 2), max_denominator=60),
+    q=st.one_of(
+        st.fractions(0, 1, max_denominator=10**6).filter(lambda q: 0 < q < 1),
+        st.integers(1, 60).map(lambda k: 1 - F(1, 2**k)),
+    ),
+    n=st.integers(0, 2),
+)
+def test_gamma_origin_brackets_the_sandwich_sums(r, q, n):
+    # the closed-form remainders make [lower_sum, upper_sum] hold the whole
+    # infinite sandwich sums, and stay within 1e-12 of them away from q = 1
+    _assert_inside(r, q * r ** (2 * n + 2), n, rel=1e-12 if q <= F(99, 100) else None)
 
 
 def test_gamma_report_rejects_crossed_bounds():
@@ -415,7 +469,7 @@ _admissible_z = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)
 @given(
     r=st.fractions(F(1, 20), F(1, 2), max_denominator=40),
     t=st.fractions(F(1, 200), F(49, 100), max_denominator=200),
@@ -448,7 +502,7 @@ HAND_BUILT = DomainSpec(
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=settings.default.max_examples * 2 // 5, deadline=None)
 @given(z=_admissible_z, deltas=st.lists(st.floats(1e-12, 0.25), max_size=5))
 def test_trapped_split_matches_reference_hand_built(z, deltas):
     _check_split(HAND_BUILT, z, deltas)
@@ -465,7 +519,7 @@ def test_trapped_split_hand_built_fixed_centres():
 # numeric quadrature inside the analytic shell bounds
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
 @given(
     r=st.fractions(F(1, 20), F(1, 2), max_denominator=60).filter(lambda r: r < F(1, 2)),
     t=st.fractions(F(1, 1000), F(49, 100), max_denominator=1000),
