@@ -316,16 +316,14 @@ def _allocate(lengths: Sequence[float], n: int) -> list[int]:
     if n < m:
         raise ValueError(f"need at least one point per piece: n={n} < {m} pieces")
     total = float(sum(lengths))
-    counts = [1] * m
-    # largest-remainder top-up toward proportional-to-arclength
-    remaining = n - m
-    quota = [n * L / total for L in lengths]
-    while remaining > 0:
-        deficits = [quota[i] - counts[i] for i in range(m)]
-        i = max(range(m), key=lambda j: (deficits[j], -j))
-        counts[i] += 1
-        remaining -= 1
-    return counts
+    # largest-remainder top-up toward proportional-to-arclength: one point
+    # each, then the n - m largest deficits quota_i - (1 + c), c = 0, 1, ...,
+    # the lower piece first on ties, as a greedy one-at-a-time top-up picks them
+    quota = n * np.asarray(lengths, dtype=float) / total
+    deficits = quota[:, None] - np.arange(1, n - m + 1)
+    rows = np.repeat(np.arange(m), n - m)
+    top = np.lexsort((rows, -deficits.ravel()))[: n - m]
+    return (1 + np.bincount(rows[top], minlength=m)).tolist()
 
 
 def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:

@@ -3,6 +3,8 @@ kernel, counterexample.
 
 Records are {config, results, provenance} JSON (CSV for sweeps).  Identical
 config + seed give byte-identical output apart from the provenance timestamp.
+to_json_text writes each record in one walk, byte-identical to the stdlib's
+json.dumps(to_jsonable(record), sort_keys=True, indent=2).
 Rational inputs like "1/8" stay exact through every threshold comparison;
 decimal inputs travel as floats behind a guard band.
 """
@@ -58,8 +60,8 @@ def to_jsonable(obj):
 
     Dispatches on the exact type first: records are mostly plain floats,
     ints, strings and containers of them.  Everything else, subclasses
-    such as np.float64 and NamedTuples included, takes the isinstance
-    chain in _to_jsonable_other.
+    such as np.float64 and NamedTuples included, is projected one level by
+    _shallow and the result projected again.
     """
     t = type(obj)
     if t is float:
@@ -70,7 +72,7 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if t is dict:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    return _to_jsonable_other(obj)
+    return to_jsonable(_shallow(obj))
 
 
 def _nonfinite(x: float) -> str:
@@ -79,26 +81,100 @@ def _nonfinite(x: float) -> str:
     return "inf" if x > 0 else "-inf"
 
 
-def _to_jsonable_other(obj):
-    if isinstance(obj, (int, str)):  # bool is an int
-        return obj
+def _shallow(obj):
+    """One level of the projection of anything but an exact plain type; the
+    children come back raw, for the caller to project."""
+    # int and str subclasses (enum mixins) and np.float64 by their content,
+    # as the stdlib encoder writes them
+    if isinstance(obj, int):
+        return int.__int__(obj)
+    if isinstance(obj, str):
+        return str.__str__(obj)
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else _nonfinite(obj)
+        return float.__float__(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
-        return {"im": to_jsonable(obj.imag), "re": to_jsonable(obj.real)}
+        return {"im": obj.imag, "re": obj.real}
     if isinstance(obj, enum.Enum):
         return obj.value
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return dict(obj.items())
     if hasattr(obj, "_asdict"):  # NamedTuple, which is also a tuple: check first
-        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
+        return obj._asdict()
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return list(obj)
     return repr(obj)
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass, None for any other class."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def to_json_text(record) -> str:
+    """The record as json.dumps(to_jsonable(record), sort_keys=True, indent=2)
+    writes it, byte for byte, in one walk that appends to one list.
+
+    The stdlib takes its pure-Python encoder whenever indent is set, after
+    a separate to_jsonable pass over the same tree.
+    """
+    out: list[str] = []
+    _write(record, out, "\n")
+    return "".join(out)
+
+
+def _write(obj, out: list[str], nl: str) -> None:
+    """Append obj's JSON text to out; nl is the newline and indent of obj's line.
+
+    repr of an exact float or int is the float.__repr__ or int.__repr__ the
+    stdlib encoder writes.
+    """
+    t = type(obj)
+    if t is float:
+        out.append(repr(obj) if math.isfinite(obj) else _encode_str(_nonfinite(obj)))
+    elif t is str:
+        out.append(_encode_str(obj))
+    elif t is int:
+        out.append(repr(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("[" + inner)
+        for v in obj:
+            _write(v, out, inner)
+            out.append(sep)
+        out[-1] = nl + "]"
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        # str keys first, so a collision such as {1: a, "1": b} keeps what to_jsonable keeps
+        d = {str(k): v for k, v in obj.items()}
+        inner = nl + "  "
+        sep = "," + inner
+        out.append("{" + inner)
+        for k in sorted(d):
+            out.append(_encode_str(k) + ": ")
+            _write(d[k], out, inner)
+            out.append(sep)
+        out[-1] = nl + "}"
+    else:
+        _write(_shallow(obj), out, nl)
 
 
 def _provenance(seed) -> dict:
@@ -112,7 +188,7 @@ def _provenance(seed) -> dict:
 
 def _emit(record: dict, args, text: str | None = None) -> None:
     """Write JSON (or preformatted CSV text) to --out or stdout."""
-    payload = text if text is not None else json.dumps(to_jsonable(record), sort_keys=True, indent=2) + "\n"
+    payload = text if text is not None else to_json_text(record) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -68,6 +69,13 @@ LOG2 = math.log(2.0)
 LOG_EPS = -53 * LOG2  # e_j below 2^-53 leaves 1 + e_j == 1 in doubles
 
 
+def _log(x) -> float:
+    """log of a positive parameter, also one below the double range: math.log
+    of the float where that is a normal double, else _log_fraction."""
+    f = float(x)
+    return math.log(f) if f >= sys.float_info.min else _log_fraction(Fraction(x))
+
+
 def log_g(params: ParamRT, j):
     """log of g(j) = 1 / (t^-j + j log(1/r)), the reciprocal of -log cap of arc j,
     for an int or an array of j.
@@ -75,7 +83,7 @@ def log_g(params: ParamRT, j):
     Computed entirely in log-domain: t^-j overflows floats long before the
     family runs out of interesting indices.
     """
-    log_t, log_inv_r = math.log(float(params.t)), -math.log(float(params.r))
+    log_t, log_inv_r = _log(params.t), -_log(params.r)
     return -np.logaddexp(-j * log_t, np.log(j * log_inv_r))
 
 
@@ -101,7 +109,7 @@ def _shell_logs(params: ParamRT, n: int, k0: int, k_stop: int):
     k may run past the index where the shell radii underflow doubles.
     """
     r, t = float(params.r), float(params.t)
-    log_r, log_t = math.log(r), math.log(t)
+    log_r, log_t = _log(params.r), _log(params.t)
     J = next(j for j in itertools.count(k_stop + 1) if _log_e(j, log_t, -log_r) < LOG_EPS)
     lg = log_g(params, np.arange(1, J + 1))
     rem = (J + 1) * log_t - math.log1p(-t)  # log of t^(J+1) / (1 - t)
@@ -237,7 +245,7 @@ def _finite_shells(params: ParamRT, n: int, k0: int):
     lower_K sigma_K / (1 - sigma_K).  1 - q comes exactly from Fractions."""
     q = Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
     log_q, log_1mq = _log_fraction(q), _log_fraction(1 - q)
-    log_t, log_inv_r = math.log(float(params.t)), -math.log(float(params.r))
+    log_t, log_inv_r = _log(params.t), -_log(params.r)
     K = next(k for k in itertools.count(k0 + 1) if _log_e(k, log_t, log_inv_r) < min(LOG_EPS, log_1mq - LOG2))
     logs = _shell_logs(params, n, k0, K)
     log_e_up, log_e_lo = _log_e(K, log_t, log_inv_r), _log_e(K + 2, log_t, log_inv_r)

@@ -179,6 +179,38 @@ def test_fekete_multi_piece_allocation():
     assert res.n_starts == 8 and res.converged
 
 
+def _allocate_loop(lengths, n):
+    """Reference: the greedy largest-remainder top-up, one point at a time."""
+    m = len(lengths)
+    total = float(sum(lengths))
+    counts = [1] * m
+    quota = [n * L / total for L in lengths]
+    for _ in range(n - m):
+        deficits = [quota[i] - counts[i] for i in range(m)]
+        i = max(range(m), key=lambda j: (deficits[j], -j))
+        counts[i] += 1
+    return counts
+
+
+_piece_lengths = st.lists(
+    st.integers(1, 4).map(float) | st.floats(1e-3, 10.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=6
+)
+
+
+@given(lengths=_piece_lengths, extra=st.integers(0, 80))
+def test_allocate_matches_greedy_loop(lengths, extra):
+    # integer lengths make ties, which go to the lower piece in both
+    n = len(lengths) + extra
+    counts = capacity._allocate(lengths, n)
+    assert counts == _allocate_loop(lengths, n)
+    assert all(type(c) is int for c in counts) and sum(counts) == n
+
+
+def test_allocate_rejects_too_few_points():
+    with pytest.raises(ValueError, match="at least one point per piece"):
+        capacity._allocate([1.0, 2.0, 3.0], 2)
+
+
 def test_fekete_reports_a_capped_ascent(monkeypatch):
     monkeypatch.setattr(capacity, "_MAX_SWEEPS", 2)
     res = fekete_points(circle(1.0), 16, seed=0)

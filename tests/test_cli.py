@@ -8,10 +8,11 @@ import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from shell_reference import sandwich_sums
 
@@ -101,6 +102,14 @@ def test_gamma_analytic_past_radius_underflow(capsys):
     assert rep["truncation"]["converged"] is True
     lower, upper = sandwich_sums(Fraction(1, 15), Fraction(1, 56250), 1)
     assert rep["lower_sum"] <= lower and upper <= rep["upper_sum"]
+
+
+def test_gamma_t_below_the_double_range(capsys):
+    # float(t) is 0.0; the logs come from the Fraction
+    rep = run_json(capsys, ["gamma", "--r", "1/5", "--t", f"1/{10**400}", "--n", "0"])["results"]["report"]
+    assert rep["verdict"] == "Finite"
+    assert rep["truncation"]["converged"] is True
+    assert rep["shell_terms_log"][0][0] == 1 and math.isfinite(rep["shell_terms_log"][0][2])
 
 
 def test_gamma_numeric_path(capsys):
@@ -223,7 +232,7 @@ def test_to_jsonable_projections():
 
 
 def dumps(obj) -> str:
-    """The record encoding main uses."""
+    """The stdlib reference encoding, which to_json_text reproduces byte for byte."""
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
 
 
@@ -236,6 +245,9 @@ def test_to_jsonable_pinned_encodings():
         RED = "red"
 
     assert dumps({"c": Colour.RED}) == '{\n  "c": "red"\n}'
+    # enum mixins by their str or int content, a NamedTuple by its fields
+    assert [dumps(x) for x in (_Colour.RED, _Level.HUGE, _Plain.PAIR)] == ['"red"', str(2**70), "[\n  1,\n  2.5\n]"]
+    assert json.loads(dumps(_Pair(1, Fraction(1, 2)))) == {"a": 1, "b": "1/2"}
     beltrami = BeltramiData(f_z=2 + 0j, f_zbar=-0.5j, ratio=Fraction(1, 4))
     assert json.loads(dumps(beltrami)) == {
         "f_z": {"im": 0.0, "re": 2.0},
@@ -270,6 +282,79 @@ def test_to_jsonable_finite_floats_round_trip(tree):
     back = json.loads(dumps(tree))
     assert back == tree
     assert json.dumps(back, sort_keys=True) == json.dumps(tree, sort_keys=True)  # signed zeros too
+
+
+# ---------------------------------------------------------------------------
+# the one-walk writer against the stdlib encoding
+
+
+class _Colour(str, enum.Enum):
+    RED = "red"
+    ESCAPED = 'q"\\\n\u00e9\U0001f600'
+
+
+class _Level(int, enum.Enum):
+    LOW = 1
+    HUGE = 2**70
+
+
+class _Plain(enum.Enum):
+    A = "a"
+    PAIR = (1, 2.5)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    x: object
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    items: tuple
+
+
+class _Pair(NamedTuple):
+    a: object
+    b: object
+
+
+_enums = st.sampled_from([*_Colour, *_Level, *_Plain])
+_leaves = (
+    st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.inf, -math.inf, math.nan])
+    | st.integers(-(2**100), 2**100)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.fractions()
+    | st.complex_numbers()
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | _enums
+)
+_keys = st.text(max_size=3) | st.integers(-3, 3) | st.floats() | st.booleans() | st.none() | st.fractions() | _enums
+
+
+def _containers(kids):
+    inner = st.builds(_Inner, kids, st.text(max_size=3))
+    return (
+        st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(_keys, kids, max_size=4)
+        | inner
+        | st.builds(_Outer, inner, st.lists(kids, max_size=3).map(tuple))
+        | st.builds(_Pair, kids, kids)
+    )
+
+
+@given(st.recursive(_leaves, _containers, max_leaves=25))
+@example({1: "a", "1": "b", 1.5: [], "x": {}})
+@example({"1": "b", 1: "a"})
+@example([(), {}, [[]], _Pair(-0.0, np.float64("nan"))])
+def test_to_json_text_is_the_stdlib_encoding(tree):
+    assert cli.to_json_text(tree) == dumps(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +431,22 @@ def test_readme_command_lines_run(capsys):
             assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), argv
         else:
             assert "results" in json.loads(out), argv
+
+
+def test_readme_records_are_the_stdlib_encoding(capsys, monkeypatch):
+    records = []
+    writer = cli.to_json_text
+
+    def spy(record):
+        records.append(record)
+        return writer(record)
+
+    monkeypatch.setattr(cli, "to_json_text", spy)
+    for argv in readme_command_lines():
+        records.clear()
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "csv" in argv:
+            assert not records, argv
+        else:
+            assert len(records) == 1 and out == dumps(records[0]) + "\n", argv

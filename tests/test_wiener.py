@@ -153,6 +153,40 @@ def test_deep_shell_log_bounds_vs_mpmath():
         assert abs(up - ref_up) <= 1e-12
 
 
+@pytest.mark.parametrize("t", [F(1, 10**400), F(1, 10**309)], ids=["below-doubles", "subnormal"])
+def test_logs_below_the_double_range_vs_mpmath(t):
+    # float(t) is 0.0 or subnormal: the logs come from the Fractions, and
+    # match 50-digit values; the linear sums underflow (the upper one to a
+    # tiny double at t = 10^-309)
+    r, n = F(1, 5), 0
+    p = ParamRT(r, t)
+    k0, jmin = first_shell_index(p), first_trapped_index(p)
+    lo, up = shell_term_log_bounds(p, n, k0)
+    with mpmath.workdps(50):
+        R, T = mpmath.mpf(r.numerator) / r.denominator, mpmath.mpf(t.numerator) / t.denominator
+        L = mpmath.log(1 / R)
+
+        def g(j):
+            return 1 / (T ** (-j) + j * L)
+
+        def tail(k):  # g(j) <= t^j, so three terms leave < 1e-600 relative
+            return mpmath.fsum(g(j) for j in range(k, k + 3))
+
+        log_width = mpmath.log(mpmath.mpf(1) / 4 - 2 * R ** (k0 + 1))
+        refs = [
+            (log_g(p, 1), mpmath.log(g(1))),
+            (log_tail_g(p, 1), mpmath.log(tail(1))),
+            (lo, log_width + (2 * n + 3) * mpmath.log(4) + mpmath.log(g(k0 + 1))),
+            (up, log_width - (2 * n + 3) * mpmath.log(2 * R ** (k0 + 1)) + mpmath.log(tail(jmin))),
+        ]
+        for got, ref in refs:
+            assert abs(got - ref) <= 1e-14 * abs(ref), (got, ref)
+    rep = gamma_at_origin(p, n)
+    assert rep.verdict is Verdict.FINITE and rep.truncation["converged"]
+    assert rep.lower_sum == 0.0 and rep.upper_sum < 1e-300
+    assert all(math.isfinite(lo) and lo <= up for _, lo, up in rep.shell_terms_log)
+
+
 # ---------------------------------------------------------------------------
 # threshold classification
 
