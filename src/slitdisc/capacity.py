@@ -36,6 +36,7 @@ from .geometry import (
     Obstacle,
     PointObstacle,
     SegmentObstacle,
+    piece_is_polar,
 )
 from .numerics import exp_or_inf
 
@@ -138,15 +139,15 @@ def log_capacity(obj: SetLike) -> LogCapacity:
     """Closed-form capacity of a single piece, or of a union with at most
     one non-polar piece (finitely many extra points never change capacity)."""
     if isinstance(obj, CompactSet):
-        extended = [p for p in obj.pieces if not _piece_is_polar(p)]
+        extended = [p for p in obj.pieces if not piece_is_polar(p)]
         if not extended:
             return LogCapacity(NEG_INF)
         if len(extended) > 1:
             raise ValueError("no closed form for a union of several non-polar pieces; use union_log_capacity or the Fekete oracle")
         return log_capacity(extended[0])
+    if piece_is_polar(obj):
+        return point_log_capacity()
     if isinstance(obj, ArcObstacle):
-        if obj.point_like and obj.log_sin_quarter == NEG_INF:
-            return LogCapacity(NEG_INF)
         return arc_log_capacity(
             obj.radius,
             log_sin_quarter=obj.log_sin_quarter,
@@ -156,15 +157,7 @@ def log_capacity(obj: SetLike) -> LogCapacity:
         return disc_log_capacity(obj.radius)
     if isinstance(obj, SegmentObstacle):
         return segment_log_capacity(obj.length)
-    if isinstance(obj, PointObstacle):
-        return point_log_capacity()
     raise TypeError(f"unsupported set {obj!r}")
-
-
-def _piece_is_polar(p: Obstacle) -> bool:
-    if isinstance(p, PointObstacle):
-        return True
-    return isinstance(p, ArcObstacle) and p.point_like and p.log_sin_quarter == NEG_INF
 
 
 def union_log_capacity(parts: Sequence[SetLike]) -> tuple[LogCapacity, LogCapacity]:
@@ -256,18 +249,21 @@ class _ParamPiece:
         return g.sum(axis=-1), h.sum(axis=-1)
 
 
-def _parameterize(cs: SetLike) -> list[_ParamPiece]:
-    pieces = cs.pieces if isinstance(cs, CompactSet) else (cs,)
+def _as_set(cs: SetLike) -> CompactSet:
+    """A bare piece as the one-piece CompactSet, so both forms take one path."""
+    return cs if isinstance(cs, CompactSet) else CompactSet((cs,))
+
+
+def _parameterize(cs: CompactSet) -> list[_ParamPiece]:
+    """The pieces of a non-polar set the optimizers can move points on."""
     out: list[_ParamPiece] = []
-    underflowed = False
-    for p in pieces:
+    for p in cs.pieces:
         if isinstance(p, PointObstacle):
             continue
         if isinstance(p, ArcObstacle):
             if p.point_like:
                 # no angular extent left at float resolution; inside a wider
                 # union it moves the optimum by less than one ulp, so skip it
-                underflowed = underflowed or not p.degenerate
                 continue
             lo, hi = p.angular_interval()
             out.append(_ParamPiece(kind="arc", lo=lo, hi=hi, periodic=p.is_full_circle, radius=p.radius))
@@ -283,8 +279,8 @@ def _parameterize(cs: SetLike) -> list[_ParamPiece]:
             if not (length > 1e-300) or not math.isfinite(math.log(length)):
                 raise ValueError("pairwise distances underflow in linear scale; use the closed-form capacity path")
             out.append(_ParamPiece(kind="segment", lo=0.0, hi=length, periodic=False, z0=p.z0, z1=p.z1))
-    if not out and underflowed:
-        # non-polar set, but nothing the oracle can resolve: -inf would be a lie
+    if not out:
+        # only point-like arcs of finite capacity are left: -inf would be a lie
         raise ValueError("pairwise distances underflow in linear scale; use the closed-form capacity path")
     return out
 
@@ -445,8 +441,6 @@ def _max_gradient(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) ->
 
 
 def _optimize(pieces: list[_ParamPiece], n: int, seed: int) -> FeketeResult:
-    if not pieces:
-        raise ValueError("polar set has no Fekete configuration")
     counts = _allocate([pc.arclength for pc in pieces], n)
 
     # on one piece the energy is concave on the ordered cone, so one start
@@ -479,7 +473,8 @@ def fekete_points(cs: SetLike, n: int, seed: int = 0) -> FeketeResult:
     """Best found n-point Fekete configuration (deterministic per seed)."""
     if n < 2:
         raise ValueError("need n >= 2 points")
-    if isinstance(cs, CompactSet) and cs.is_polar:
+    cs = _as_set(cs)
+    if cs.is_polar:
         raise ValueError("polar set has no Fekete configuration")
     return _optimize(_parameterize(cs), n, seed)
 
@@ -493,9 +488,8 @@ def fekete_log_capacity(cs: SetLike, n: int, seed: int = 0) -> LogCapacity:
     run when n >= 8, which then needs n // 2 points, one per piece.  The
     raw monotone d_n sequence stays available via fekete_points.
     """
-    if isinstance(cs, CompactSet) and cs.is_polar:
-        return LogCapacity(NEG_INF)
-    if isinstance(cs, PointObstacle) or (isinstance(cs, ArcObstacle) and cs.degenerate):
+    cs = _as_set(cs)
+    if cs.is_polar:
         return LogCapacity(NEG_INF)
     if n < 2:
         raise ValueError("need n >= 2 points")
@@ -526,10 +520,8 @@ class EquilibriumError(RuntimeError):
         self.gap = gap
 
 
-def _cells(cs: SetLike, m: int) -> tuple[np.ndarray, np.ndarray, list[tuple[_ParamPiece, np.ndarray]]]:
+def _cells(cs: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray, list[tuple[_ParamPiece, np.ndarray]]]:
     pieces = _parameterize(cs)
-    if not pieces:
-        raise ValueError("equilibrium measure undefined on a polar set")
     counts = _allocate([pc.arclength for pc in pieces], m)
     mids: list[np.ndarray] = []
     lengths: list[np.ndarray] = []
@@ -615,7 +607,7 @@ def _solve_weights(K: np.ndarray, seed: int) -> tuple[np.ndarray, float]:
     return w, gap
 
 
-def _equilibrium_once(cs: SetLike, m: int, seed: int) -> tuple[float, DiscreteMeasure]:
+def _equilibrium_once(cs: CompactSet, m: int, seed: int) -> tuple[float, DiscreteMeasure]:
     mids, lengths, located = _cells(cs, m)
     K = _energy_matrix(located, lengths)
     w, gap = _solve_weights(K, seed)
@@ -639,7 +631,8 @@ def equilibrium_energy(cs: SetLike, m: int, seed: int = 0) -> tuple[EnergyValue,
     diagonal.  The declared tolerance compares against a half-resolution
     solve, so callers can judge the discretization error without guessing.
     """
-    if isinstance(cs, CompactSet) and cs.is_polar:
+    cs = _as_set(cs)
+    if cs.is_polar:
         raise ValueError("polar set rejected: no equilibrium measure exists")
     if m < 8:
         raise ValueError("need m >= 8 support candidates")

@@ -25,18 +25,11 @@ from fractions import Fraction
 
 from . import __version__
 from .bergman import BasisSpec, KernelEngine, QuadratureConfig, metric_path_length
-from .capacity import (
-    arc_log_capacity,
-    disc_log_capacity,
-    equilibrium_energy,
-    fekete_log_capacity,
-    log_capacity,
-    segment_log_capacity,
-)
+from .capacity import equilibrium_energy, fekete_log_capacity, log_capacity
 from .geometry import (
-    ArcObstacle,
-    CompactSet,
+    DiscObstacle,
     ParamRT,
+    SegmentObstacle,
     annulus,
     arc,
     build_domain,
@@ -47,7 +40,7 @@ from .geometry import (
 )
 from .numerics import parse_number
 from .qcmap import QCParams, beltrami, counterexample_chain, qc_constant, transport_params
-from .wiener import GammaQuadrature, divergence_ratio, gamma_at_origin, gamma_numeric, threshold_report
+from .wiener import GammaQuadrature, gamma_at_origin, gamma_numeric, threshold_report
 
 
 # ---------------------------------------------------------------------------
@@ -212,32 +205,24 @@ def cmd_capacity(args) -> dict:
     results: dict = {}
     if args.shape == "circle":
         shape = circle(args.radius)
-        results["closed_form_log"] = log_capacity(shape).log_value
     elif args.shape == "arc":
         shape = arc(args.radius, 0.0, args.half_width)
-        results["closed_form_log"] = arc_log_capacity(args.radius, args.half_width).log_value
     elif args.shape == "segment":
-        from .geometry import SegmentObstacle
-
         shape = SegmentObstacle(0j, complex(args.length, 0.0))
-        results["closed_form_log"] = segment_log_capacity(args.length).log_value
+        if not (args.length > 0.0):  # the closed form would take |length|
+            raise ValueError("length must be positive")
     elif args.shape == "disc":
-        from .geometry import DiscObstacle
-
         shape = DiscObstacle(0j, args.radius)
-        results["closed_form_log"] = disc_log_capacity(args.radius).log_value
     else:  # family-arc
         params = ParamRT(parse_number(args.r), parse_number(args.t))
         shape = make_arc(params, args.k)
-        results["closed_form_log"] = log_capacity(shape).log_value
         results["family"] = {"k": args.k, "r": params.r, "t": params.t}
+    results["closed_form_log"] = log_capacity(shape).log_value
     if args.fekete_n:
-        cs = shape if isinstance(shape, CompactSet) else CompactSet((shape,))
         results["fekete_n"] = args.fekete_n
-        results["fekete_log"] = fekete_log_capacity(cs, args.fekete_n, seed=args.seed).log_value
+        results["fekete_log"] = fekete_log_capacity(shape, args.fekete_n, seed=args.seed).log_value
     if args.equilibrium_m:
-        cs = shape if isinstance(shape, CompactSet) else CompactSet((shape,))
-        energy, measure = equilibrium_energy(cs, args.equilibrium_m, seed=args.seed)
+        energy, measure = equilibrium_energy(shape, args.equilibrium_m, seed=args.seed)
         results["equilibrium_m"] = args.equilibrium_m
         results["equilibrium_energy"] = energy.value
         results["equilibrium_tolerance"] = energy.tolerance
@@ -247,14 +232,12 @@ def cmd_capacity(args) -> dict:
 def cmd_gamma(args) -> dict:
     params = ParamRT(parse_number(args.r), parse_number(args.t))
     z = _parse_complex(args.z)
-    results: dict = {"ratio": divergence_ratio(params, args.n)}
     if z == 0j and not args.numeric:
         report = gamma_at_origin(params, args.n)
     else:
         quad = GammaQuadrature(delta_min=args.delta_min, divergence_threshold=args.threshold)
         report = gamma_numeric(build_domain(params, args.kmax), z, args.n, quad)
-    results["report"] = report
-    return results
+    return {"ratio": report.ratio, "report": report}
 
 
 def cmd_classify(args) -> dict:
@@ -268,10 +251,10 @@ def cmd_phase_diagram(args) -> tuple[dict, str | None]:
     if not (0 < r_min <= r_max < 1 and 0 < t_min <= t_max < Fraction(1, 2)):
         raise ValueError("grid bounds must satisfy 0 < r < 1 and 0 < t < 1/2")
     rows = []
+    ts = [t_min + (t_max - t_min) * Fraction(j, max(args.t_steps - 1, 1)) for j in range(args.t_steps)]
     for i in range(args.r_steps):
         r = r_min + (r_max - r_min) * Fraction(i, max(args.r_steps - 1, 1))
-        for j in range(args.t_steps):
-            t = t_min + (t_max - t_min) * Fraction(j, max(args.t_steps - 1, 1))
+        for t in ts:
             rep = threshold_report(ParamRT(r, t))
             rows.append(
                 {

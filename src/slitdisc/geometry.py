@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .numerics import EXP_OVERFLOW, Real, exp_or_inf, is_exact, le_guarded, power
@@ -172,21 +171,21 @@ class CompactSet:
 
     @property
     def is_polar(self) -> bool:
-        """True when the union is a finite set of points (capacity zero).
+        """True when the union is a finite set of points (capacity zero)."""
+        return all(map(piece_is_polar, self.pieces))
 
-        An arc whose half_width merely underflowed keeps a finite
-        log_sin_quarter and is NOT polar: its capacity r^k e^{-t^{-k}} is
-        positive even when no float can represent the angle.
-        """
-        if self.is_empty:
-            return True
-        for p in self.pieces:
-            if isinstance(p, PointObstacle):
-                continue
-            if isinstance(p, ArcObstacle) and p.point_like and p.log_sin_quarter == NEG_INF:
-                continue
-            return False
-        return True
+
+def piece_is_polar(p: Obstacle) -> bool:
+    """True for a point, or an arc with no angular extent and log sin = -inf:
+    a piece of capacity zero.
+
+    An arc whose half_width merely underflowed keeps a finite
+    log_sin_quarter and is NOT polar: its capacity r^k e^{-t^{-k}} is
+    positive even when no float can represent the angle.
+    """
+    if isinstance(p, ArcObstacle):
+        return p.point_like and p.log_sin_quarter == NEG_INF
+    return isinstance(p, PointObstacle)
 
 
 @dataclass(frozen=True)
@@ -403,12 +402,12 @@ def annulus(inner_radius: float) -> DomainSpec:
 # shell decomposition
 
 
-@lru_cache(maxsize=32)
 def first_trapped_index(params: ParamRT) -> int:
     """Smallest arc index j with r^j <= 1/4: the first arc the gamma integral sees.
 
     Exact for rational r; float r compares with le_guarded, so a power
-    within the guard band of 1/4 counts as inside.
+    within the guard band of 1/4 counts as inside.  A walk of j steps, run
+    once per gamma^(n)(0) request (through first_shell_index), so not cached.
     """
     quarter = Fraction(1, 4)
     j = 1

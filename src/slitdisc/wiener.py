@@ -33,7 +33,6 @@ from .geometry import (
     SegmentObstacle,
     check_shell_index,
     first_shell_index,
-    first_trapped_index,
     _clip_obstacle,
     _wrap_angle,
 )
@@ -122,7 +121,8 @@ def _shell_logs(params: ParamRT, n: int, k0: int, k_stop: int):
     magnitude = (2 * n + 3) * (3 * LOG2 + (k_stop + 2) * -log_r) + abs(float(lg[-1]))
     if k.size:
         log_width = math.log(0.25 - 2.0 * r ** (k0 + 1))
-        jmin = first_trapped_index(params)  # equals k0 except at r = 1/2
+        # first_trapped_index: first_shell_index adds one to it at r = 1/2 only
+        jmin = k0 - 1 if params.r == Fraction(1, 2) else k0
         lower[0] = log_width + (2 * n + 3) * math.log(4.0) + lg[k0]
         upper[0] = log_width - (2 * n + 3) * (LOG2 + (k0 + 1) * log_r) + tails[jmin - 1]
         magnitude += abs(log_width)
@@ -144,17 +144,21 @@ def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float
 # classification by the exact ratio test
 
 
+def _ratio_test(params: ParamRT, n: int) -> tuple[object, GuardedComparison, object]:
+    """(q = t / r^(2n+2), the guarded test q >= 1 as r^(2n+2) <= t, r^(2n+2)),
+    from one power of r.  q is a Fraction when both parameters are exact,
+    else float(t) / float(r)^(2n+2); the test compares power(r, 2n+2), exact
+    for a rational r, so for exact r and float t the two take different powers.
+    """
+    p = 2 * n + 2
+    r_p = power(params.r, p)
+    ratio = params.t / r_p if params.is_exact else float(params.t) / float(params.r) ** p
+    return ratio, le_guarded(r_p, params.t), r_p
+
+
 def divergence_ratio(params: ParamRT, n: int):
     """t / r^(2n+2); Fraction when the parameters are exact."""
-    if params.is_exact:
-        return Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
-    return float(params.t) / float(params.r) ** (2 * n + 2)
-
-
-def _ratio_at_least_one(params: ParamRT, n: int) -> GuardedComparison:
-    # t / r^(2n+2) >= 1  <=>  r^(2n+2) <= t; shared with classify_domain so
-    # the two code paths cannot disagree
-    return le_guarded(power(params.r, 2 * n + 2), params.t)
+    return _ratio_test(params, n)[0]
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,14 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
     r^2 <= t: gamma^(0)(0) diverges, the domain is Bergman exhaustive at the
     only bad boundary point, hence complete.  t <= r^4: not complete.  The
     strip r^4 < t < r^2 is unresolved.  Both boundaries are inclusive; exact
-    rational inputs are compared exactly.
+    rational inputs are compared exactly.  The two tests and both ratios
+    come from _ratio_test at n = 0 and n = 1, the very test gamma_at_origin
+    decides divergence by, so the classifier and gamma^(n)(0) cannot
+    disagree; t <= r^4 takes the same r^4.
     """
-    exhaustive = _ratio_at_least_one(params, 0)
-    not_complete = le_guarded(params.t, power(params.r, 4))
+    ratio_n0, exhaustive, _ = _ratio_test(params, 0)
+    ratio_n1, ratio_one, r4 = _ratio_test(params, 1)
+    not_complete = le_guarded(params.t, r4)
     flags = list(params.flags())
     if exhaustive.boundary_warning or not_complete.boundary_warning:
         flags.append(FLAG_GUARD_BAND)
@@ -184,15 +192,14 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
         cls = Classification.EXHAUSTIVE_HENCE_COMPLETE
     elif not_complete.result:
         cls = Classification.NOT_COMPLETE
-        ratio_one = _ratio_at_least_one(params, 1)
         if ratio_one.result:  # t == r^4 up to the guard band
             flags.append(FLAG_RATIO_ONE)
     else:
         cls = Classification.UNKNOWN
     return ThresholdReport(
         classification=cls,
-        ratio_n0=divergence_ratio(params, 0),
-        ratio_n1=divergence_ratio(params, 1),
+        ratio_n0=ratio_n0,
+        ratio_n1=ratio_n1,
         exhaustive_test=exhaustive,
         not_complete_test=not_complete,
         flags=tuple(flags),
@@ -236,14 +243,13 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(float(x * Fraction(2) ** s)) - s * LOG2
 
 
-def _finite_shells(params: ParamRT, n: int, k0: int):
+def _finite_shells(params: ParamRT, n: int, k0: int, q: Fraction):
     """(_shell_logs up to K, log lower and upper remainders past K, sigma_K, rho_K,
     magnitude of the remainders' logs), K the first k > k0 with e_k below 2^-53
     and (1 - q)/2.  As e_j falls, upper_{k+1} / upper_k <= rho_K = q (1 + e_K) < 1
     and lower_{k+1} / lower_k >= sigma_K = q / (1 + e_{K+2}) for all k >= K: the
     remainders are at most upper_K rho_K / (1 - rho_K) and at least
-    lower_K sigma_K / (1 - sigma_K).  1 - q comes exactly from Fractions."""
-    q = Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
+    lower_K sigma_K / (1 - sigma_K).  q is exact, so 1 - q is too."""
     log_q, log_1mq = _log_fraction(q), _log_fraction(1 - q)
     log_t, log_inv_r = _log(params.t), -_log(params.r)
     K = next(k for k in itertools.count(k0 + 1) if _log_e(k, log_t, log_inv_r) < min(LOG_EPS, log_1mq - LOG2))
@@ -265,16 +271,19 @@ def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
     The verdict never comes from the numeric sums: the shell sandwich makes
     the series two-sided geometric with ratio q = t / r^(2n+2), so
     divergence is exactly q >= 1 (inclusive at the boundary, where the terms
-    stay bounded below).  Divergent reports carry a fixed window of 40
-    shells; finite ones add the remainders of _finite_shells, so they bound
-    the whole infinite sandwich sums.  A rounding moves a log by at most
-    2^-53 A, A the magnitudes of _shell_logs and the remainders; a term and
-    its g-tail take at most 16 (library calls count twice, and the tail
-    recursion damps carried errors by t < 1/2), the sum one per term.  So
-    both sums are widened outward by 2^-53 (N + 16) A in log (log_margin).
+    stay bounded below).  One _ratio_test gives q and that test, the one
+    threshold_report classifies by, so the two cannot disagree; a finite
+    sum takes the exact q from it (of the floats, for float parameters),
+    and the shell index is walked once.  Divergent reports carry a fixed
+    window of 40 shells; finite ones add the remainders of _finite_shells,
+    so they bound the whole infinite sandwich sums.  A rounding moves a log
+    by at most 2^-53 A, A the magnitudes of _shell_logs and the remainders;
+    a term and its g-tail take at most 16 (library calls count twice, and
+    the tail recursion damps carried errors by t < 1/2), the sum one per
+    term.  So both sums are widened outward by 2^-53 (N + 16) A in log
+    (log_margin).
     """
-    cmp = _ratio_at_least_one(params, n)
-    ratio = divergence_ratio(params, n)
+    ratio, cmp, _ = _ratio_test(params, n)
     flags = list(params.flags())
     if cmp.boundary_warning:
         flags.append(FLAG_GUARD_BAND)
@@ -292,7 +301,9 @@ def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
             logs = _shell_logs(params, n, k0, k0 + DIVERGENT_REPORT_TERMS - 1)
             lo_rest, up_rest, rest_size = NEG_INF, NEG_INF, 0.0
         else:
-            logs, lo_rest, up_rest, sigma, rho, rest_size = _finite_shells(params, n, k0)
+            # for float parameters, the exact ratio of their values
+            q = ratio if params.is_exact else Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
+            logs, lo_rest, up_rest, sigma, rho, rest_size = _finite_shells(params, n, k0, q)
             truncation["tail_ratios"] = (sigma, rho)
         _, k, lower, upper, size = logs
         margin = 2.0**-53 * (k.size + 16) * (size + rest_size)
@@ -491,10 +502,8 @@ class _TrappedSplit:
 def _bracket_h(split: _TrappedSplit, delta: float, quad: GammaQuadrature) -> tuple[float, float]:
     """Bracket of h(delta) = 1 / (-log cap(trapped set at delta)); zero on polar or empty sets."""
     if quad.capacity_path == "fekete":
-        trapped = CompactSet(split.pieces(delta))
-        if trapped.is_empty or trapped.is_polar:
-            return 0.0, 0.0
-        est = fekete_log_capacity(trapped, quad.fekete_n, quad.seed).log_value
+        # a polar or empty trapped set gives -inf, hence h = 0
+        est = fekete_log_capacity(CompactSet(split.pieces(delta)), quad.fekete_n, quad.seed).log_value
         h = 0.0 if est == NEG_INF else 1.0 / (-est)
         return h, h
     lower, recip_sum = split.log_bounds(delta)

@@ -165,6 +165,34 @@ def test_fekete_underflowed_arc_advises_closed_form():
     assert both.log_value == alone.log_value
 
 
+def _outcome(fn, cs):
+    try:
+        return fn(cs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "piece",
+    [
+        ArcObstacle(0.5, 0.0, 0.0, -math.inf),  # polar, though not flagged degenerate
+        make_arc(ParamRT(F(1, 8), F(1, 32)), 205),  # -t^-205 overflows: degenerate
+        PointObstacle(0.5),
+    ],
+)
+def test_polar_piece_bare_and_wrapped_agree(piece):
+    # one polarity predicate: a bare piece takes the path of its one-piece set
+    calls = (
+        log_capacity,
+        lambda cs: fekete_points(cs, 8),
+        lambda cs: fekete_log_capacity(cs, 8),
+        lambda cs: equilibrium_energy(cs, 16),
+    )
+    for fn in calls:
+        assert _outcome(fn, piece) == _outcome(fn, CompactSet((piece,)))
+    assert log_capacity(piece).is_polar and fekete_log_capacity(piece, 8).is_polar
+
+
 def test_fekete_multi_piece_allocation():
     # two arcs must each hold at least one point and the estimate exceeds
     # the single-arc capacity (monotonicity of capacity under unions)

@@ -235,6 +235,49 @@ def test_divergence_ratio_exactness():
     assert isinstance(divergence_ratio(ParamRT(0.2, 0.3), 0), float)
 
 
+@pytest.mark.parametrize("p", [ParamRT(F(1, 5), 0.04), ParamRT(0.2, F(1, 25))], ids=["exact-r", "exact-t"])
+def test_mixed_exactness_pinned(p):
+    # one parameter exact: the ratios are float, t / 0.2**p; the tests
+    # compare power(r, p) as le_guarded does, so t = r^2 lands on the band
+    rep = threshold_report(p)
+    assert rep.classification is Classification.EXHAUSTIVE_HENCE_COMPLETE
+    assert type(rep.ratio_n0) is float and rep.ratio_n0 == 0.9999999999999998
+    assert type(rep.ratio_n1) is float and rep.ratio_n1 == 24.999999999999996
+    assert rep.exhaustive_test.result and rep.exhaustive_test.boundary_warning
+    assert not rep.not_complete_test.result and not rep.not_complete_test.boundary_warning
+    assert rep.flags == (FLAG_GUARD_BAND,)
+    origin = gamma_at_origin(p, 0)
+    assert origin.verdict is Verdict.DIVERGENT
+    assert type(origin.ratio) is float and origin.ratio == 0.9999999999999998
+    assert origin.flags == (FLAG_GUARD_BAND, FLAG_RATIO_ONE)
+
+
+_exact_r = st.fractions(0, 1, max_denominator=40).filter(lambda r: 0 < r < 1)
+
+
+@settings(deadline=None)
+@given(data=st.data(), r=_exact_r)
+def test_threshold_report_is_fraction_arithmetic(data, r):
+    # t = r^2 and t = r^4, the two boundaries, are drawn explicitly
+    t = data.draw(
+        st.one_of(
+            st.just(r**2),
+            st.just(r**4),
+            st.fractions(0, F(1, 2), max_denominator=10**4),
+        ).filter(lambda t: 0 < t < F(1, 2))
+    )
+    rep = threshold_report(ParamRT(r, t))
+    want = (
+        Classification.EXHAUSTIVE_HENCE_COMPLETE
+        if r**2 <= t
+        else Classification.NOT_COMPLETE if t <= r**4 else Classification.UNKNOWN
+    )
+    assert rep.classification is want
+    assert rep.ratio_n0 == t / r**2 and type(rep.ratio_n0) is Fraction
+    assert rep.ratio_n1 == t / r**4 and type(rep.ratio_n1) is Fraction
+    assert (FLAG_RATIO_ONE in rep.flags) == (t == r**4)
+
+
 # ---------------------------------------------------------------------------
 # gamma at the origin (analytic shells)
 
@@ -310,6 +353,21 @@ def _assert_inside(r, t, n, rel=None):
     if rel is not None:
         assert rep.lower_sum >= lower * (1 - rel), (r, t, n)
         assert rep.upper_sum <= upper * (1 + rel), (r, t, n)
+
+
+@pytest.mark.parametrize(
+    "r, t",
+    [(F(1, 2), F(1, 100)), (0.5, 0.01), (F(1, 5), 0.001)],
+    ids=["exact-half", "float-half", "exact-r-float-t"],
+)
+@pytest.mark.parametrize("n", [0, 1])
+def test_gamma_origin_brackets_at_the_edges(r, t, n):
+    # at r = 1/2 the first shell k0 = 3 holds the g-tail from jmin = k0 - 1;
+    # float parameters are bracketed as the Fractions they are
+    rep = gamma_at_origin(ParamRT(r, t), n)
+    assert rep.verdict is Verdict.FINITE
+    lower, upper = sandwich_sums(F(r), F(t), n)
+    assert rep.lower_sum <= lower and upper <= rep.upper_sum
 
 
 @pytest.mark.parametrize(
