@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 from .numerics import EXP_OVERFLOW, Real, exp_or_inf, is_exact, le_guarded, power
 
@@ -83,12 +83,16 @@ class ArcObstacle:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0):
-            raise ValueError(f"arc radius must be positive, got {self.radius}")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"arc radius must be positive and finite, got {self.radius}")
+        if not math.isfinite(self.center_angle):
+            raise ValueError(f"arc center_angle must be finite, got {self.center_angle}")
         if not (0.0 <= self.half_width <= math.pi + CLIP_ANGLE_TOL):
             raise ValueError(f"half_width out of (0, pi]: {self.half_width}")
-        if self.log_sin_quarter > 1e-15:
+        if not (self.log_sin_quarter <= 1e-15):
             raise ValueError("log_sin_quarter must be <= 0 (sin of an angle <= pi/2)")
+        if self.log_radius is not None and not math.isfinite(self.log_radius):
+            raise ValueError(f"log_radius must be finite, got {self.log_radius}")
 
     @property
     def log_radius_value(self) -> float:
@@ -133,8 +137,10 @@ class DiscObstacle:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0.0):
-            raise ValueError("disc obstacle needs positive radius")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"disc obstacle needs a positive finite radius, got {self.radius}")
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"disc obstacle centre must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,8 @@ class SegmentObstacle:
     z1: complex
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.z0) and cmath.isfinite(self.z1)):
+            raise ValueError(f"segment endpoints must be finite, got {self.z0} and {self.z1}")
         if self.z0 == self.z1:
             raise ValueError("degenerate segment; use PointObstacle")
 
@@ -325,35 +333,38 @@ def make_arc(params: ParamRT, k: int) -> ArcObstacle:
     """
     if k < 1:
         raise ValueError("arc index k must be >= 1")
+    return next(_family_arcs(params, (k,)))
+
+
+def _family_arcs(params: ParamRT, ks: Iterable[int]) -> Iterator[ArcObstacle]:
+    """The arcs A_k for k in ks, as make_arc gives them, with r, t and their
+    logs converted to floats once.  Raises OverflowError at the first radius
+    r^k that underflows doubles; the logs are taken only past that check."""
     r = float(params.r)
     t = float(params.t)
-    radius = r**k
-    if radius == 0.0:
-        raise OverflowError(f"arc radius r^{k} underflows doubles for r={r}")
-    log_radius = k * math.log(r)
-    exponent = -k * math.log(t)  # log of t^-k
-    if exponent > EXP_OVERFLOW:
-        return ArcObstacle(
+    log_r = log_t = None
+    for k in ks:
+        radius = r**k
+        if radius == 0.0:
+            raise OverflowError(f"arc radius r^{k} underflows doubles for r={r}")
+        if log_r is None:
+            log_r, log_t = math.log(r), math.log(t)
+        exponent = -k * log_t  # log of t^-k
+        degenerate = exponent > EXP_OVERFLOW
+        if degenerate:
+            half_width, log_sin_quarter = 0.0, NEG_INF
+        else:
+            log_sin_quarter = -(t ** (-k))
+            s = exp_or_inf(log_sin_quarter)
+            half_width = 2.0 * math.asin(s) if s >= 1e-8 else 2.0 * s
+        yield ArcObstacle(
             radius=radius,
             center_angle=0.0,
-            half_width=0.0,
-            log_sin_quarter=NEG_INF,
-            log_radius=log_radius,
-            degenerate=True,
+            half_width=half_width,
+            log_sin_quarter=log_sin_quarter,
+            log_radius=k * log_r,
+            degenerate=degenerate,
         )
-    log_sin_quarter = -(t ** (-k))
-    s = exp_or_inf(log_sin_quarter)
-    if s >= 1e-8:
-        half_width = 2.0 * math.asin(s)
-    else:
-        half_width = 2.0 * s
-    return ArcObstacle(
-        radius=radius,
-        center_angle=0.0,
-        half_width=half_width,
-        log_sin_quarter=log_sin_quarter,
-        log_radius=log_radius,
-    )
 
 
 def build_domain(params: ParamRT, k_max: int) -> DomainSpec:
@@ -366,17 +377,13 @@ def build_domain(params: ParamRT, k_max: int) -> DomainSpec:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     arcs: list[Obstacle] = []
-    stopped_at = None
-    for k in range(1, k_max + 1):
-        try:
-            arcs.append(make_arc(params, k))
-        except OverflowError:
-            stopped_at = k
-            break
-    arcs.append(PointObstacle(0j))
     label = f"slit-disc r={params.r} t={params.t} k_max={k_max}"
-    if stopped_at is not None:
-        label += f" (arcs truncated at k={stopped_at - 1}: radius underflow)"
+    try:
+        for a in _family_arcs(params, range(1, k_max + 1)):
+            arcs.append(a)
+    except OverflowError:
+        label += f" (arcs truncated at k={len(arcs)}: radius underflow)"
+    arcs.append(PointObstacle(0j))
     return DomainSpec(outer_radius=1.0, obstacles=tuple(arcs), label=label, family=params)
 
 

@@ -10,7 +10,6 @@ parameters are rational); quadrature only ever brackets finite windows.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -24,15 +23,14 @@ import numpy as np
 from .capacity import fekete_log_capacity, log_capacity, union_log_capacity
 from .geometry import (
     ArcObstacle,
-    CompactSet,
     DiscObstacle,
     DomainSpec,
     Obstacle,
     ParamRT,
     PointObstacle,
-    SegmentObstacle,
     check_shell_index,
     first_shell_index,
+    trapped_obstacles,
     _clip_obstacle,
     _wrap_angle,
 )
@@ -359,51 +357,59 @@ class GammaQuadrature:
             raise ValueError("capacity_path must be closed_form or fekete")
 
 
-def _piece_probe_radii(ob: Obstacle, z: complex) -> tuple[float, float]:
-    """(first contact delta, fully-covered delta) for one obstacle seen from z."""
+def _probe(ob: Obstacle, z: complex) -> tuple[float, float, float, float]:
+    """(first contact delta dmin, fully-covered delta dmax, clip scale, log cap)
+    of one obstacle seen from z.
+
+    The clip scale is the length scale of the reference clip's rounding.  It
+    is zero where the clip compares the very distance computed here (points,
+    discs, point-like arcs, arcs around a centre at the origin), so that a
+    delta equal to dmax leaves the piece whole.
+    """
+    lv = log_capacity(ob).log_value
+    if isinstance(ob, ArcObstacle):
+        if ob.point_like:
+            d = abs(ob.center_point - z)
+            return d, d, 0.0, lv
+        R = ob.radius
+        if z == 0j:
+            return R, R, 0.0, lv
+        d, phi = abs(z), math.atan2(z.imag, z.real)
+        rel = _wrap_angle(phi - ob.center_angle)
+        near = ob.center_angle + max(-ob.half_width, min(ob.half_width, rel))
+        dmin = abs(z - R * complex(math.cos(near), math.sin(near)))
+        cands = [ob.center_angle - ob.half_width, ob.center_angle + ob.half_width]
+        anti = _wrap_angle(phi + math.pi - ob.center_angle)
+        if abs(anti) <= ob.half_width:
+            cands.append(ob.center_angle + anti)
+        dmax = max(abs(z - R * complex(math.cos(a), math.sin(a))) for a in cands)
+        return dmin, dmax, R + d, lv
     if isinstance(ob, PointObstacle):
         d = abs(ob.location - z)
-        return d, d
+        return d, d, 0.0, lv
     if isinstance(ob, DiscObstacle):
         d = abs(ob.center - z)
-        return max(d - ob.radius, 0.0), d + ob.radius
-    if isinstance(ob, SegmentObstacle):
-        d0, d1 = abs(ob.z0 - z), abs(ob.z1 - z)
-        seg = ob.z1 - ob.z0
-        t = ((z - ob.z0) / seg).real
-        dmin = min(d0, d1)
-        if 0.0 < t < 1.0:
-            dmin = min(dmin, abs(ob.z0 + t * seg - z))
-        return dmin, max(d0, d1)
-    # arc
-    if ob.point_like:
-        d = abs(ob.center_point - z)
-        return d, d
-    if z == 0j:
-        return ob.radius, ob.radius
-    R, d, phi = ob.radius, abs(z), math.atan2(z.imag, z.real)
-    rel = _wrap_angle(phi - ob.center_angle)
-    near = ob.center_angle + max(-ob.half_width, min(ob.half_width, rel))
-    dmin = abs(z - R * complex(math.cos(near), math.sin(near)))
-    cands = [ob.center_angle - ob.half_width, ob.center_angle + ob.half_width]
-    anti = _wrap_angle(phi + math.pi - ob.center_angle)
-    if abs(anti) <= ob.half_width:
-        cands.append(ob.center_angle + anti)
-    dmax = max(abs(z - R * complex(math.cos(a), math.sin(a))) for a in cands)
-    return dmin, dmax
+        return max(d - ob.radius, 0.0), d + ob.radius, 0.0, lv
+    # segment: the clip's scale is the farther endpoint's distance, dmax
+    d0, d1 = abs(ob.z0 - z), abs(ob.z1 - z)
+    seg = ob.z1 - ob.z0
+    t = ((z - ob.z0) / seg).real
+    dmin = min(d0, d1)
+    if 0.0 < t < 1.0:
+        dmin = min(dmin, abs(ob.z0 + t * seg - z))
+    return dmin, max(d0, d1), max(d0, d1), lv
 
 
-def _delta_grid(radii: list[tuple[float, float]], quad: GammaQuadrature) -> np.ndarray:
+def _delta_grid(dmin: np.ndarray, dmax: np.ndarray, quad: GammaQuadrature) -> list[float]:
+    """The cell ends, descending from 1/4 to delta_min: a geometric grid of
+    points_per_octave points an octave, and every dmin, dmax and 2 dmax
+    strictly between the two (the breakpoints of the trapped sets)."""
     top, bottom = 0.25, quad.delta_min
     n_geo = max(1, int(math.ceil(math.log2(top / bottom) * quad.points_per_octave)))
-    pts = {top, bottom}
-    for i in range(1, n_geo):
-        pts.add(top * (bottom / top) ** (i / n_geo))
-    for dmin, dmax in radii:
-        for v in (dmin, dmax, 2.0 * dmax):
-            if bottom < v < top:
-                pts.add(v)
-    return np.array(sorted(pts))
+    geometric = [top * (bottom / top) ** (i / n_geo) for i in range(1, n_geo)]  # float powers, as numpy's differ
+    breaks = np.concatenate((dmin, dmax, 2.0 * dmax))
+    pts = {top, bottom, *geometric, *breaks[(bottom < breaks) & (breaks < top)].tolist()}
+    return sorted(pts, reverse=True)
 
 
 # margins that widen [dmin, dmax] of off-centre arcs and segments, whose clip
@@ -414,113 +420,151 @@ SPLIT_MARGIN = 1e-12
 SPLIT_SCALE_SLACK = 1e-13
 
 
-def _clip_scale(ob: Obstacle, z: complex) -> float:
-    """Length scale of the reference clip's rounding for ob seen from z.
+class _TrappedSets:
+    """The trapped sets of one domain seen from one centre z, at many deltas at once.
 
-    Zero where the clip compares the very distance _piece_probe_radii
-    computes (points, discs, point-like arcs, arcs around a centre at the
-    origin), so that only an exact tie with delta needs the clip.
-    """
-    if isinstance(ob, SegmentObstacle):
-        return max(abs(ob.z0 - z), abs(ob.z1 - z))
-    if isinstance(ob, ArcObstacle) and not ob.point_like and z != 0j:
-        return ob.radius + abs(z)
-    return 0.0
-
-
-class _TrappedSplit:
-    """The trapped sets of one domain seen from one centre z, for any delta.
-
-    The pieces are sorted once by their fully-covered radius dmax.  At each
-    delta a bisect splits them three ways: pieces whose dmax lies below
-    delta are whole, the band [dmin, dmax] (widened by the margins above
-    where the clip does its own arithmetic) goes through the reference clip
-    geometry._clip_obstacle, and the rest are absent.  The whole pieces' log
-    capacities come once, with prefix running maxima and prefix reciprocal
-    sums over the sorted order, so a delta costs the bisect plus the band.
-    pieces() returns exactly what trapped_obstacles returns, in domain order.
+    The pieces are sorted once by their fully-covered radius dmax, widened
+    by the margins above where the clip does its own arithmetic (clip scale
+    above 0).  At each delta a prefix of that order is whole: the pieces
+    with dmax below delta, then those with dmax equal to it and clip scale
+    0, which the clip would return whole.  One searchsorted over all deltas
+    gives every prefix, and prefix running maxima and prefix reciprocal sums
+    of the sorted closed forms give its bounds, summed in the order the clip
+    would have added those ties.  Past the prefix, the pieces with delta in
+    [dmin, dmax] (the band) go through the reference clip
+    geometry._clip_obstacle; the rest are absent.
     """
 
-    def __init__(self, domain: DomainSpec, z: complex, radii: list[tuple[float, float]]):
-        self.obstacles, self.z = domain.obstacles, z
-        lo, hi = [], []
-        for ob, (dmin, dmax) in zip(self.obstacles, radii):
-            scale = _clip_scale(ob, z)
-            if scale:
-                slack = SPLIT_SCALE_SLACK * scale * scale
-                dmin = math.sqrt(max(dmin * dmin - slack, 0.0)) * (1.0 - SPLIT_MARGIN)
-                dmax = math.sqrt(dmax * dmax + slack) * (1.0 + SPLIT_MARGIN)
-            lo.append(dmin)
-            hi.append(dmax)
-        self.order = sorted(range(len(hi)), key=hi.__getitem__)
-        self.hi = [hi[i] for i in self.order]
-        self.lo = [lo[i] for i in self.order]
+    def __init__(self, obstacles: tuple[Obstacle, ...], z: complex, probes: np.ndarray):
+        self.obstacles, self.z = obstacles, z
+        dmin, dmax, scale, lv = probes
+        margin = scale != 0.0
+        slack = SPLIT_SCALE_SLACK * scale * scale
+        lo = np.where(margin, np.sqrt(np.maximum(dmin * dmin - slack, 0.0)) * (1.0 - SPLIT_MARGIN), dmin)
+        hi = np.where(margin, np.sqrt(dmax * dmax + slack) * (1.0 + SPLIT_MARGIN), dmax)
+        self.order = np.argsort(hi, kind="stable")
+        self.hi, self.lo, margin, lv = hi[self.order], lo[self.order], margin[self.order], lv[self.order]
+        count = len(lv)
+        # the first margin piece at or after each position: a run of ties ends there
+        at = np.where(margin, np.arange(count), count)
+        self.next_margin = np.append(np.minimum.accumulate(at[::-1])[::-1], count)
         # min of lo over each suffix: the band walk stops once no piece can reach delta
-        self.lo_suffix_min = list(reversed(list(itertools.accumulate(reversed(self.lo), min))))
-        self.log_max = [NEG_INF]
-        self.recip_sum = [0.0]
-        for i in self.order:
-            lv = log_capacity(self.obstacles[i]).log_value
-            self.log_max.append(max(self.log_max[-1], lv))
-            self.recip_sum.append(self.recip_sum[-1] + (1.0 / (-lv) if lv != NEG_INF else 0.0))
+        self.lo_suffix_min = np.append(np.minimum.accumulate(self.lo[::-1])[::-1], INF)
+        recip = np.zeros(count)
+        finite = lv != NEG_INF
+        with np.errstate(divide="ignore"):  # log cap 0 gives -inf; its deltas fail
+            recip[finite] = 1.0 / -lv[finite]
+        self.log_max = np.maximum.accumulate(np.append(NEG_INF, lv))
+        self.recip_sum = np.cumsum(np.append(0.0, recip))
 
-    def split(self, delta: float) -> tuple[int, list[tuple[int, list[Obstacle]]]]:
-        """(number of whole pieces, [(domain index, clipped pieces)] of the band)."""
-        whole = bisect.bisect_left(self.hi, delta)
+    def whole(self, deltas: np.ndarray) -> np.ndarray:
+        """Length of the whole prefix of the sorted pieces at each delta."""
+        ties = np.searchsorted(self.hi, deltas, "left")
+        return np.minimum(np.searchsorted(self.hi, deltas, "right"), self.next_margin[ties])
+
+    def band(self, whole: int, delta: float) -> list[tuple[int, list[Obstacle]]]:
+        """[(domain index, clipped pieces)] of the band past a whole prefix."""
         band = []
         j = whole
-        while j < len(self.lo) and self.lo_suffix_min[j] <= delta:
+        while self.lo_suffix_min[j] <= delta:
             if self.lo[j] <= delta:
-                i = self.order[j]
+                i = int(self.order[j])
                 band.append((i, _clip_obstacle(self.obstacles[i], self.z, delta)))
             j += 1
-        return whole, band
+        return band
 
     def pieces(self, delta: float) -> tuple[Obstacle, ...]:
         """The trapped set at delta, piece for piece as trapped_obstacles gives it."""
-        whole, band = self.split(delta)
-        by_index = {i: [self.obstacles[i]] for i in self.order[:whole]}
-        by_index.update(band)
+        whole = int(self.whole(np.array([delta]))[0])
+        by_index = {i: [self.obstacles[i]] for i in self.order[:whole].tolist()}
+        by_index.update(self.band(whole, delta))
         return tuple(p for i in sorted(by_index) for p in by_index[i])
 
-    def log_bounds(self, delta: float) -> tuple[float, float]:
-        """(max log cap, sum of 1/(-log cap)) over the trapped pieces, as
-        union_log_capacity combines them, with its log cap < 0 check."""
-        whole, band = self.split(delta)
+    def log_bounds(self, deltas: list[float]) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+        """(max log cap, sum of 1/(-log cap)) over the trapped pieces at each
+        delta, as union_log_capacity combines them, and the error text at
+        each delta where the clip fails or, as union_log_capacity checks,
+        a piece has log cap >= 0."""
+        whole = self.whole(np.array(deltas))
         lower, recip_sum = self.log_max[whole], self.recip_sum[whole]
-        for _, clipped in band:
-            for piece in clipped:
-                lv = log_capacity(piece).log_value
-                lower = max(lower, lv)
-                if lv != NEG_INF:
-                    recip_sum += 1.0 / (-lv)
-        if lower >= 0.0:
-            union_log_capacity(self.pieces(delta))  # raises, naming the first offending piece
-        return lower, recip_sum
+        errors: dict[int, str] = {}
+        for i in np.flatnonzero(self.lo_suffix_min[whole] <= np.array(deltas)).tolist():
+            try:
+                band = self.band(int(whole[i]), deltas[i])
+            except ValueError as exc:
+                errors[i] = str(exc)
+                continue
+            low, total = float(lower[i]), float(recip_sum[i])
+            for _, clipped in band:
+                for piece in clipped:
+                    lv = log_capacity(piece).log_value
+                    low = max(low, lv)
+                    if lv != NEG_INF:
+                        total += 1.0 / (-lv)
+            lower[i], recip_sum[i] = low, total
+        for i in np.flatnonzero(lower >= 0.0).tolist():
+            if i not in errors:
+                try:
+                    union_log_capacity(self.pieces(deltas[i]))  # raises, naming the first offending piece
+                except ValueError as exc:
+                    errors[i] = str(exc)
+        return lower, recip_sum, errors
 
 
-def _bracket_h(split: _TrappedSplit, delta: float, quad: GammaQuadrature) -> tuple[float, float]:
-    """Bracket of h(delta) = 1 / (-log cap(trapped set at delta)); zero on polar or empty sets."""
-    if quad.capacity_path == "fekete":
-        # a polar or empty trapped set gives -inf, hence h = 0
-        est = fekete_log_capacity(CompactSet(split.pieces(delta)), quad.fekete_n, quad.seed).log_value
-        h = 0.0 if est == NEG_INF else 1.0 / (-est)
-        return h, h
-    lower, recip_sum = split.log_bounds(delta)
-    if lower == NEG_INF:
-        return 0.0, 0.0
+def _closed_form_h(domain: DomainSpec, z: complex, probes: np.ndarray, deltas: list[float]):
+    """(lower, upper bracket of h = 1 / (-log cap of the trapped set), error
+    texts) at every delta; h is zero on polar or empty sets."""
+    lower, recip_sum, errors = _TrappedSets(domain.obstacles, z, probes).log_bounds(deltas)
+    h_lo, h_up = np.zeros(len(deltas)), np.zeros(len(deltas))
     # a finite max makes recip_sum > 0; h_up inverts the union bound
     # -1/recip_sum as union_log_capacity rounds it (0.0 once that is -inf)
-    return 1.0 / (-lower), 1.0 / (1.0 / recip_sum)
+    ok = (lower > NEG_INF) & (lower < 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        h_lo[ok] = 1.0 / -lower[ok]
+        h_up[ok] = 1.0 / (1.0 / recip_sum[ok])
+    return h_lo, h_up, errors
 
 
-def _power_integral(a: float, b: float, n: int) -> float:
-    """Exact integral of delta^(-2n-3) over [a, b]."""
+def _fekete_h(domain: DomainSpec, z: complex, g: list[float], weights: np.ndarray, quad: GammaQuadrature):
+    """(h, error texts) from the Fekete estimate on trapped_obstacles, at the
+    grid points the top-down sweep reaches: it ends at the first error, at
+    the cell whose weight overflows, or once the lower sum crosses the
+    divergence threshold, so no solve runs past the stop."""
+    h = np.zeros(len(g))
+    lower_sum = 0.0
+    for c in range(len(g) - 1):
+        for i in (1, 0) if c == 0 else (c + 1,):
+            try:
+                est = fekete_log_capacity(trapped_obstacles(domain, z, g[i]), quad.fekete_n, quad.seed).log_value
+            except ValueError as exc:
+                return h, {i: str(exc)}
+            # a polar or empty trapped set gives -inf, hence h = 0
+            h[i] = 0.0 if est == NEG_INF else 1.0 / (-est)
+        if c == len(weights):
+            break
+        lower_sum += h[c + 1] * weights[c]
+        if lower_sum > quad.divergence_threshold:
+            break
+    return h, {}
+
+
+def _cell_weights(g: list[float], n: int) -> tuple[np.ndarray, str | None]:
+    """Exact integrals (a^-p - b^-p) / p of delta^(-2n-3), p = 2n + 2, over
+    the cells [a, b] = [g[c+1], g[c]] of the descending grid g, up to the
+    first cell whose a^-p leaves the double range, and that cell's error
+    text (None if no power does).  The powers are Python float powers:
+    numpy's differ from them in the last bit."""
     p = 2 * n + 2
+    powers: list[float] = []
+    error = None
     try:
-        return (a**-p - b**-p) / p
-    except OverflowError as exc:
-        raise ValueError(f"power weight delta^(-{p + 1}) overflows at delta={a}; raise delta_min or lower n") from exc
+        for delta in g:
+            powers.append(delta**-p)
+    except OverflowError:
+        a = g[max(len(powers), 1)]
+        error = f"power weight delta^(-{p + 1}) overflows at delta={a}; raise delta_min or lower n"
+    powers_arr = np.array(powers)
+    return (powers_arr[1:] - powers_arr[:-1]) / p, error
 
 
 def gamma_numeric(
@@ -531,33 +575,55 @@ def gamma_numeric(
     On each cell [a, b] of a log grid the trapped set at a is contained in
     the trapped set at b, so h = 1/(-log cap) brackets the integrand from
     both sides while the delta power integrates exactly.  Accumulation runs
-    from delta = 1/4 downward; the verdict turns Divergent as soon as the
-    certified lower sum crosses the divergence threshold.  Mass below
-    delta_min is never claimed: finite verdicts mean "finite over the
+    from delta = 1/4 downward; the verdict turns Divergent at the first cell
+    where the certified lower sum crosses the divergence threshold.  Mass
+    below delta_min is never claimed: finite verdicts mean "finite over the
     resolved window", and the truncation metadata says so.
 
-    Each piece's probe radii (dmin, dmax) are computed once; they give the
-    grid's breakpoints and sort the pieces for _TrappedSplit.  At each delta
-    a bisect splits the pieces into whole (dmax below delta), clipped (delta
-    in [dmin, dmax]) and absent.  For off-centre arcs and segments the band
-    is widened by a 1e-12 relative margin and a rounding margin, so a piece
-    on a grid breakpoint always goes through the reference clip.  The whole
-    pieces' closed forms enter through prefix maxima and prefix reciprocal
-    sums.  The trapped pieces are the ones trapped_obstacles gives, so the
-    bracket equals the union_log_capacity one up to the order in which the
-    reciprocals are summed; the fekete path takes the same pieces in domain
-    order.
+    The closed-form path is one array pass over the grid.  One pass over
+    the obstacles gives each piece's probe radii (dmin, dmax), clip scale
+    and closed-form log capacity; the radii are the grid's breakpoints.
+    _TrappedSets then bounds the trapped set at every delta at once: one
+    searchsorted finds the whole pieces, ties dmax == delta included where
+    the clip would return them whole (nearly every arc of a family domain
+    is point-like, so its radii are exact distances that land on grid
+    points), and only the band of pieces the probe circle may cross goes
+    through the reference clip.  The trapped pieces are the ones
+    trapped_obstacles gives, so the bracket equals the union_log_capacity
+    one up to the order in which the reciprocals are summed.  The cells,
+    both sums and the divergence stop come from one cumsum.  Errors (a
+    lens the clip cannot represent, log cap >= 0, the delta power leaving
+    the double range) are recorded at the grid points where they occur,
+    and the report takes the first cell a top-down sweep would fail at,
+    unless the lower sum crossed the threshold before it; so it equals the
+    per-delta loop this replaced, cell for cell.  The fekete path
+    estimates h on the trapped_obstacles pieces cell by cell and runs no
+    solve past the stop.  n must be >= 0.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     if abs(z) + 0.25 > domain.outer_radius + 1e-12:
         raise ValueError("probe discs of radius 1/4 must stay inside the domain's outer circle")
-    radii = [_piece_probe_radii(ob, z) for ob in domain.obstacles]
-    grid = _delta_grid(radii, quad)
+    probes = np.array([_probe(ob, z) for ob in domain.obstacles]).reshape(-1, 4).T
+    g = _delta_grid(probes[0], probes[1], quad)  # descending: cell c is [g[c+1], g[c]]
+    weights, overflow = _cell_weights(g, n)
     flags = list(domain.family.flags()) if domain.family is not None else []
     if quad.capacity_path == "fekete":
         flags.append(FLAG_FEKETE_PATH)
-    cells: list[tuple[int, float, float]] = []
-    lower_sum = 0.0
-    upper_sum = 0.0
+        h_up, errors = _fekete_h(domain, z, g, weights, quad)
+        h_lo = h_up
+    else:
+        h_lo, h_up, errors = _closed_form_h(domain, z, probes, g)
+    # the sweep evaluates h at a cell's lower end a = g[c+1] (for cell 0,
+    # then at its upper end g[0]) before its weight
+    failures = [(max(i - 1, 0), i == 0, text) for i, text in errors.items()]
+    if overflow is not None:
+        failures.append((len(weights), 2, overflow))
+    failed_cell, _, error = min(failures, default=(len(weights), 0, None))
+    cell_lo = h_lo[1 : failed_cell + 1] * weights[:failed_cell]
+    cell_up = h_up[:failed_cell] * weights[:failed_cell]
+    lower, upper = np.cumsum(cell_lo), np.cumsum(cell_up)
+    crossed = np.flatnonzero(lower > quad.divergence_threshold)
     truncation: dict = {
         "mode": "numeric-quadrature",
         "delta_min": quad.delta_min,
@@ -565,38 +631,21 @@ def gamma_numeric(
         "divergence_threshold": quad.divergence_threshold,
         "unresolved_below_delta_min": True,
     }
-    verdict = Verdict.FINITE
-    idx = 0
-    try:
-        split = _TrappedSplit(domain, z, radii)
-        h_cache: dict[float, tuple[float, float]] = {}
-
-        def at(delta: float) -> tuple[float, float]:
-            if delta not in h_cache:
-                h_cache[delta] = _bracket_h(split, delta, quad)
-            return h_cache[delta]
-
-        for a, b in zip(grid[-2::-1], grid[::-1]):
-            h_lo, _ = at(float(a))
-            _, h_up = at(float(b))
-            P = _power_integral(float(a), float(b), n)
-            cell_lo = h_lo * P
-            cell_up = h_up * P
-            lower_sum += cell_lo
-            upper_sum += cell_up
-            cells.append((idx, cell_lo, cell_up))
-            idx += 1
-            if lower_sum > quad.divergence_threshold:
-                verdict = Verdict.DIVERGENT
-                truncation["delta_stop"] = float(a)
-                break
-        else:
-            truncation["delta_stop"] = quad.delta_min
-    except ValueError as exc:
+    cells = failed_cell
+    if crossed.size:
+        verdict = Verdict.DIVERGENT
+        cells = int(crossed[0]) + 1
+        truncation["delta_stop"] = g[cells]
+    elif error is not None:
         verdict = Verdict.INCONCLUSIVE
-        truncation["failed_cell"] = idx
-        truncation["error"] = str(exc)
-    truncation["cells"] = idx
+        truncation["failed_cell"] = cells
+        truncation["error"] = error
+    else:
+        verdict = Verdict.FINITE
+        truncation["delta_stop"] = quad.delta_min
+    truncation["cells"] = cells
+    lower_sum = float(lower[cells - 1]) if cells else 0.0
+    upper_sum = float(upper[cells - 1]) if cells else 0.0
 
     ratio = None
     if domain.family is not None:
@@ -607,7 +656,7 @@ def gamma_numeric(
         z=z,
         verdict=verdict,
         value=value,
-        shell_terms=tuple(cells),
+        shell_terms=tuple(zip(range(cells), cell_lo[:cells].tolist(), cell_up[:cells].tolist())),
         ratio=ratio,
         truncation=truncation,
         lower_sum=lower_sum,

@@ -204,6 +204,23 @@ def test_module_errors_exit_one(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", "segment", "--length", "inf"],
+        ["--shape", "segment", "--length", "nan"],
+        ["--shape", "circle", "--radius", "inf"],
+        ["--shape", "disc", "--radius", "nan"],
+        ["--shape", "arc", "--radius", "inf", "--half-width", "0.5"],
+    ],
+    ids=["segment-inf", "segment-nan", "circle-inf", "disc-nan", "arc-inf"],
+)
+def test_capacity_rejects_non_finite_shapes(capsys, argv):
+    code = main(["capacity", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err.startswith("error:") and captured.out == ""
+
+
 def test_argparse_misuse_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # missing --r/--t

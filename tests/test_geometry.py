@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slitdisc.geometry import (
@@ -28,6 +28,7 @@ from slitdisc.geometry import (
     trapped_obstacles,
     unit_disc,
 )
+from slitdisc.capacity import log_capacity
 from slitdisc.geometry import _angular_overlap, _check_pairwise_disjoint, _point_on_obstacle
 
 F = Fraction
@@ -94,6 +95,67 @@ def test_build_domain_truncates_on_underflow():
     arcs = [ob for ob in dom.obstacles if isinstance(ob, ArcObstacle)]
     assert len(arcs) < 500
     assert "truncat" in dom.label
+
+
+_exact_or_float_r = st.one_of(st.fractions(F(1, 20), F(1, 2), max_denominator=40), st.floats(0.05, 0.5))
+_exact_or_float_t = st.one_of(st.fractions(F(1, 200), F(49, 100), max_denominator=200), st.floats(0.005, 0.49))
+
+
+# (1/20, 1/200) up to k = 400: e^(-t^-k) underflows from k = 2, t^-k
+# overflows from k = 134 (degenerate arcs), r^k underflows at k = 249
+@example(r=F(1, 20), t=F(1, 200), k_max=400)
+@example(r=0.05, t=0.005, k_max=400)
+@given(r=_exact_or_float_r, t=_exact_or_float_t, k_max=st.integers(1, 400))
+def test_build_domain_arcs_are_make_arc(r, t, k_max):
+    p = ParamRT(r, t)
+    dom = build_domain(p, k_max)
+    *arcs, origin = dom.obstacles
+    assert origin == PointObstacle(0j)
+    for k, a in enumerate(arcs, start=1):
+        assert a == make_arc(p, k), k
+    if len(arcs) < k_max:  # truncated where the radius underflows
+        with pytest.raises(OverflowError):
+            make_arc(p, len(arcs) + 1)
+        assert f"truncated at k={len(arcs)}" in dom.label
+
+
+@example(r=F(1, 20), t=F(1, 200), k_max=248)
+@given(r=_exact_or_float_r, t=_exact_or_float_t, k_max=st.integers(1, 248))
+def test_family_arc_log_capacity_is_k_log_r_minus_t_to_the_minus_k(r, t, k_max):
+    # the stored log data, not the underflowing half_width, give the capacity:
+    # on both sides of the e^(-t^-k) underflow, and -inf once t^-k overflows
+    p = ParamRT(r, t)
+    for k in range(1, k_max + 1):
+        a = make_arc(p, k)
+        got = log_capacity(a).log_value
+        if a.degenerate:
+            assert got == -math.inf
+        else:
+            assert got == k * math.log(float(r)) - float(t) ** -k, (k, a.half_width)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_obstacles_reject_non_finite_inputs(bad):
+    makers = [
+        lambda: ArcObstacle(bad, 0.0, 0.1, -3.0),
+        lambda: ArcObstacle(0.1, bad, 0.1, -3.0),
+        lambda: ArcObstacle(0.1, 0.0, bad, -3.0),
+        lambda: ArcObstacle(0.1, 0.0, 0.1, -3.0, log_radius=bad),
+        lambda: arc(bad, 0.0, 0.1),
+        lambda: arc(0.1, bad, 0.1),
+        lambda: arc(0.1, 0.0, bad),
+        lambda: circle(bad),
+        lambda: DiscObstacle(0j, bad),
+        lambda: DiscObstacle(complex(bad, 0.0), 0.1),
+        lambda: DiscObstacle(complex(0.0, bad), 0.1),
+        lambda: SegmentObstacle(0j, complex(bad, 0.0)),
+        lambda: SegmentObstacle(complex(0.0, bad), 0.1 + 0j),
+    ]
+    if not bad < 0:  # log sin of the quarter width may be -inf (a degenerate arc)
+        makers.append(lambda: ArcObstacle(0.1, 0.0, 0.1, bad))
+    for make in makers:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_first_shell_index_values():

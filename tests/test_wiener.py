@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shell_reference import sandwich_sums
 
-from slitdisc.capacity import union_log_capacity
+import slitdisc.wiener as wiener_module
+from slitdisc.capacity import fekete_log_capacity, log_capacity, union_log_capacity
 from slitdisc.geometry import (
+    ArcObstacle,
     CompactSet,
     DiscObstacle,
     DomainSpec,
     ParamRT,
     PointObstacle,
     SegmentObstacle,
+    _clip_obstacle,
+    _wrap_angle,
     build_domain,
     circle,
     descriptor_contains,
@@ -30,12 +36,14 @@ from slitdisc.wiener import (
     FLAG_GUARD_BAND,
     FLAG_NO_SHELLS,
     FLAG_RATIO_ONE,
+    SPLIT_MARGIN,
+    SPLIT_SCALE_SLACK,
     Classification,
     GammaQuadrature,
     GammaReport,
     Verdict,
-    _piece_probe_radii,
-    _TrappedSplit,
+    _probe,
+    _TrappedSets,
     classify_domain,
     divergence_ratio,
     gamma_at_origin,
@@ -512,7 +520,7 @@ def test_gamma_numeric_fekete_path_pinned():
 
 
 # ---------------------------------------------------------------------------
-# the trapped-set split against the reference clip
+# the trapped sets at many deltas against the reference clip
 
 
 def _outcome(fn):
@@ -523,27 +531,37 @@ def _outcome(fn):
         return str(exc)
 
 
+def _probes(dom, z):
+    return np.array([_probe(ob, z) for ob in dom.obstacles]).reshape(-1, 4).T
+
+
 def _check_split(dom, z, extra_deltas=()):
-    """The split gives trapped_obstacles' pieces at every probe radius, at
-    twice each dmax (the grid's own breakpoints) and at extra_deltas; and the
-    reference trapped sets grow with delta."""
-    radii = [_piece_probe_radii(ob, z) for ob in dom.obstacles]
-    split = _TrappedSplit(dom, z, radii)
-    deltas = {d for dmin, dmax in radii for d in (dmin, dmax, 2.0 * dmax)} | set(extra_deltas)
-    deltas = sorted(d for d in deltas if d > 0.0)
+    """At every probe radius, at twice each dmax (the grid's own breakpoints)
+    and at extra_deltas, _TrappedSets gives trapped_obstacles' pieces and
+    its error text, and log_bounds, asked for all of them at once, gives
+    union_log_capacity's bounds; and the reference trapped sets grow with
+    delta."""
+    probes = _probes(dom, z)
+    sets = _TrappedSets(dom.obstacles, z, probes)
+    deltas = {d for dmin, dmax in zip(probes[0].tolist(), probes[1].tolist()) for d in (dmin, dmax, 2.0 * dmax)}
+    deltas = sorted(d for d in deltas | set(extra_deltas) if d > 0.0)
+    lower, recip_sum, errors = sets.log_bounds(deltas)
     grown = []
-    for delta in deltas:
+    for i, delta in enumerate(deltas):
         ref = _outcome(lambda: trapped_obstacles(dom, z, delta).pieces)
-        assert _outcome(lambda: split.pieces(delta)) == ref, (z, delta)
+        assert _outcome(lambda: sets.pieces(delta)) == ref, (z, delta)
         if isinstance(ref, str):
+            assert errors[i] == ref, (z, delta)
             continue
+        assert i not in errors, (z, delta)
         grown.append(ref)
         if ref:
-            max_log, recip_sum = split.log_bounds(delta)
-            lower, upper = union_log_capacity(ref)
-            assert max_log == lower.log_value
-            if recip_sum > 0.0:
-                assert -1.0 / recip_sum == pytest.approx(upper.log_value, rel=1e-15, abs=0.0)
+            lo, up = union_log_capacity(ref)
+            assert lower[i] == lo.log_value
+            if recip_sum[i] > 0.0:
+                assert -1.0 / recip_sum[i] == pytest.approx(up.log_value, rel=1e-15, abs=0.0)
+        else:
+            assert lower[i] == -math.inf and recip_sum[i] == 0.0
     chain = grown[::4]
     for small, big in zip(chain, chain[1:]):
         assert descriptor_contains(CompactSet(small), CompactSet(big))
@@ -605,6 +623,351 @@ def test_trapped_split_hand_built_fixed_centres():
     # disc is swallowed, then cuts a lens), next to the point
     for z in (0.45 - 0.05j, 0.3j, 0.01 + 0.01j, -0.4 + 0.21j, 0j):
         _check_split(HAND_BUILT, z, (0.01, 0.1, 0.25))
+
+
+# ---------------------------------------------------------------------------
+# the array pass against the sequential per-delta loop it replaced
+
+
+def _ref_probe_radii(ob, z):
+    """(first contact delta, fully-covered delta) for one obstacle seen from z."""
+    if isinstance(ob, PointObstacle):
+        d = abs(ob.location - z)
+        return d, d
+    if isinstance(ob, DiscObstacle):
+        d = abs(ob.center - z)
+        return max(d - ob.radius, 0.0), d + ob.radius
+    if isinstance(ob, SegmentObstacle):
+        d0, d1 = abs(ob.z0 - z), abs(ob.z1 - z)
+        seg = ob.z1 - ob.z0
+        t = ((z - ob.z0) / seg).real
+        dmin = min(d0, d1)
+        if 0.0 < t < 1.0:
+            dmin = min(dmin, abs(ob.z0 + t * seg - z))
+        return dmin, max(d0, d1)
+    if ob.point_like:
+        d = abs(ob.center_point - z)
+        return d, d
+    if z == 0j:
+        return ob.radius, ob.radius
+    R, d, phi = ob.radius, abs(z), math.atan2(z.imag, z.real)
+    rel = _wrap_angle(phi - ob.center_angle)
+    near = ob.center_angle + max(-ob.half_width, min(ob.half_width, rel))
+    dmin = abs(z - R * complex(math.cos(near), math.sin(near)))
+    cands = [ob.center_angle - ob.half_width, ob.center_angle + ob.half_width]
+    anti = _wrap_angle(phi + math.pi - ob.center_angle)
+    if abs(anti) <= ob.half_width:
+        cands.append(ob.center_angle + anti)
+    dmax = max(abs(z - R * complex(math.cos(a), math.sin(a))) for a in cands)
+    return dmin, dmax
+
+
+def _ref_delta_grid(radii, quad):
+    top, bottom = 0.25, quad.delta_min
+    n_geo = max(1, int(math.ceil(math.log2(top / bottom) * quad.points_per_octave)))
+    pts = {top, bottom}
+    for i in range(1, n_geo):
+        pts.add(top * (bottom / top) ** (i / n_geo))
+    for dmin, dmax in radii:
+        for v in (dmin, dmax, 2.0 * dmax):
+            if bottom < v < top:
+                pts.add(v)
+    return np.array(sorted(pts))
+
+
+def _ref_clip_scale(ob, z):
+    if isinstance(ob, SegmentObstacle):
+        return max(abs(ob.z0 - z), abs(ob.z1 - z))
+    if isinstance(ob, ArcObstacle) and not ob.point_like and z != 0j:
+        return ob.radius + abs(z)
+    return 0.0
+
+
+class _RefSplit:
+    """One bisect of the sorted dmax per delta; ties go through the clip."""
+
+    def __init__(self, domain, z, radii):
+        self.obstacles, self.z = domain.obstacles, z
+        lo, hi = [], []
+        for ob, (dmin, dmax) in zip(self.obstacles, radii):
+            scale = _ref_clip_scale(ob, z)
+            if scale:
+                slack = SPLIT_SCALE_SLACK * scale * scale
+                dmin = math.sqrt(max(dmin * dmin - slack, 0.0)) * (1.0 - SPLIT_MARGIN)
+                dmax = math.sqrt(dmax * dmax + slack) * (1.0 + SPLIT_MARGIN)
+            lo.append(dmin)
+            hi.append(dmax)
+        self.order = sorted(range(len(hi)), key=hi.__getitem__)
+        self.hi = [hi[i] for i in self.order]
+        self.lo = [lo[i] for i in self.order]
+        self.lo_suffix_min = list(reversed(list(itertools.accumulate(reversed(self.lo), min))))
+        self.log_max = [-math.inf]
+        self.recip_sum = [0.0]
+        for i in self.order:
+            lv = log_capacity(self.obstacles[i]).log_value
+            self.log_max.append(max(self.log_max[-1], lv))
+            self.recip_sum.append(self.recip_sum[-1] + (1.0 / (-lv) if lv != -math.inf else 0.0))
+
+    def split(self, delta):
+        whole = bisect.bisect_left(self.hi, delta)
+        band = []
+        j = whole
+        while j < len(self.lo) and self.lo_suffix_min[j] <= delta:
+            if self.lo[j] <= delta:
+                i = self.order[j]
+                band.append((i, _clip_obstacle(self.obstacles[i], self.z, delta)))
+            j += 1
+        return whole, band
+
+    def pieces(self, delta):
+        whole, band = self.split(delta)
+        by_index = {i: [self.obstacles[i]] for i in self.order[:whole]}
+        by_index.update(band)
+        return tuple(p for i in sorted(by_index) for p in by_index[i])
+
+    def log_bounds(self, delta):
+        whole, band = self.split(delta)
+        lower, recip_sum = self.log_max[whole], self.recip_sum[whole]
+        for _, clipped in band:
+            for piece in clipped:
+                lv = log_capacity(piece).log_value
+                lower = max(lower, lv)
+                if lv != -math.inf:
+                    recip_sum += 1.0 / (-lv)
+        if lower >= 0.0:
+            union_log_capacity(self.pieces(delta))
+        return lower, recip_sum
+
+
+def _ref_bracket_h(split, delta, quad):
+    if quad.capacity_path == "fekete":
+        est = fekete_log_capacity(CompactSet(split.pieces(delta)), quad.fekete_n, quad.seed).log_value
+        h = 0.0 if est == -math.inf else 1.0 / (-est)
+        return h, h
+    lower, recip_sum = split.log_bounds(delta)
+    if lower == -math.inf:
+        return 0.0, 0.0
+    return 1.0 / (-lower), 1.0 / (1.0 / recip_sum)
+
+
+def _ref_power_integral(a, b, n):
+    p = 2 * n + 2
+    try:
+        return (a**-p - b**-p) / p
+    except OverflowError as exc:
+        raise ValueError(f"power weight delta^(-{p + 1}) overflows at delta={a}; raise delta_min or lower n") from exc
+
+
+def reference_gamma_numeric(domain, z, n, quad=GammaQuadrature()):
+    """gamma_numeric as the per-delta loop it was: h cached per delta, one
+    cell at a time from 1/4 down, stopping at the first error or at the
+    divergence threshold."""
+    if abs(z) + 0.25 > domain.outer_radius + 1e-12:
+        raise ValueError("probe discs of radius 1/4 must stay inside the domain's outer circle")
+    radii = [_ref_probe_radii(ob, z) for ob in domain.obstacles]
+    grid = _ref_delta_grid(radii, quad)
+    flags = list(domain.family.flags()) if domain.family is not None else []
+    if quad.capacity_path == "fekete":
+        flags.append(FLAG_FEKETE_PATH)
+    cells, lower_sum, upper_sum = [], 0.0, 0.0
+    truncation = {
+        "mode": "numeric-quadrature",
+        "delta_min": quad.delta_min,
+        "capacity_path": quad.capacity_path,
+        "divergence_threshold": quad.divergence_threshold,
+        "unresolved_below_delta_min": True,
+    }
+    verdict = Verdict.FINITE
+    idx = 0
+    try:
+        split = _RefSplit(domain, z, radii)
+        h_cache = {}
+
+        def at(delta):
+            if delta not in h_cache:
+                h_cache[delta] = _ref_bracket_h(split, delta, quad)
+            return h_cache[delta]
+
+        for a, b in zip(grid[-2::-1], grid[::-1]):
+            h_lo, _ = at(float(a))
+            _, h_up = at(float(b))
+            P = _ref_power_integral(float(a), float(b), n)
+            cell_lo, cell_up = h_lo * P, h_up * P
+            lower_sum += cell_lo
+            upper_sum += cell_up
+            cells.append((idx, cell_lo, cell_up))
+            idx += 1
+            if lower_sum > quad.divergence_threshold:
+                verdict = Verdict.DIVERGENT
+                truncation["delta_stop"] = float(a)
+                break
+        else:
+            truncation["delta_stop"] = quad.delta_min
+    except ValueError as exc:
+        verdict = Verdict.INCONCLUSIVE
+        truncation["failed_cell"] = idx
+        truncation["error"] = str(exc)
+    truncation["cells"] = idx
+    ratio = divergence_ratio(domain.family, n) if domain.family is not None else None
+    return GammaReport(
+        n=n,
+        z=z,
+        verdict=verdict,
+        value=math.inf if verdict == Verdict.DIVERGENT else upper_sum,
+        shell_terms=tuple(cells),
+        ratio=ratio,
+        truncation=truncation,
+        lower_sum=lower_sum,
+        upper_sum=upper_sum,
+        flags=tuple(flags),
+    )
+
+
+def _assert_matches_reference(dom, z, n, quad):
+    got, ref = gamma_numeric(dom, z, n, quad), reference_gamma_numeric(dom, z, n, quad)
+    # field for field: cells, both sums, verdict, the whole truncation dict
+    assert got.shell_terms == ref.shell_terms
+    assert (got.lower_sum, got.upper_sum, got.value) == (ref.lower_sum, ref.upper_sum, ref.value)
+    assert got.verdict is ref.verdict
+    assert got.truncation == ref.truncation
+    assert got == ref
+    return got
+
+
+_exact_or_float_r = st.one_of(st.fractions(F(1, 20), F(1, 2), max_denominator=40), st.floats(0.05, 0.5))
+_exact_or_float_t = st.one_of(st.fractions(F(1, 200), F(49, 100), max_denominator=200), st.floats(0.005, 0.49))
+
+
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
+@given(
+    r=_exact_or_float_r,
+    t=_exact_or_float_t,
+    k_max=st.integers(1, 200),
+    where=st.sampled_from(("origin", "off-axis", "near", "subnormal", "hand-built")),
+    z=_admissible_z,
+    near=st.integers(1, 6),
+    nudge=st.floats(-1e-6, 1e-6),
+    n=st.integers(0, 2),
+    # delta_min down to 1e-60, below which delta^-7 leaves the double range
+    delta_min_exp=st.floats(1.0, 60.0),
+    threshold=st.one_of(st.just(1e6), st.floats(1.0, 1e12), st.just(math.inf)),
+)
+def test_gamma_numeric_matches_sequential_reference(r, t, k_max, where, z, near, nudge, n, delta_min_exp, threshold):
+    quad = GammaQuadrature(delta_min=10.0**-delta_min_exp, divergence_threshold=threshold)
+    if where == "hand-built":
+        _assert_matches_reference(HAND_BUILT, z, n, quad)
+        return
+    dom = build_domain(ParamRT(r, t), k_max)
+    rho = float(r) ** near * (1.0 + nudge)
+    z = {
+        "origin": 0j,
+        "off-axis": z * 0.02,
+        "near": complex(rho * math.cos(nudge), rho * math.sin(nudge)) if rho <= 0.75 else 0j,
+        "subnormal": complex(5e-324, 0.0) * (1 + near % 2) if nudge >= 0 else complex(0.0, -5e-324),
+    }[where]
+    _assert_matches_reference(dom, z, n, quad)
+
+
+# a segment through the probe centre diverges at once; the disc beside it is
+# cut into a lens only for delta in (0.01, 0.05), past the stop
+_LENS_BELOW_STOP = DomainSpec(
+    outer_radius=1.0,
+    obstacles=(SegmentObstacle(0.001 + 0j, 0.2 + 0j), DiscObstacle(-0.03 + 0j, 0.02)),
+    label="segment beside a disc",
+)
+# an arc whose stored log radius puts its log capacity above 0
+_LOG_CAP_ABOVE_ZERO = DomainSpec(
+    outer_radius=1.0,
+    obstacles=(ArcObstacle(0.1, 0.0, 0.5, math.log(math.sin(0.25)), log_radius=2.0), PointObstacle(0j)),
+    label="arc of log capacity 0.6",
+)
+# cell 0 fails at both of its ends: at 1/4 the circle's log capacity is 2,
+# below it the disc, whole at 1/4, is cut into a lens; the lower end is
+# evaluated first
+_BOTH_ENDS_FAIL = DomainSpec(
+    outer_radius=1.0,
+    obstacles=(DiscObstacle(0.15 + 0j, 0.1), ArcObstacle(0.25, 0.0, math.pi, 0.0, log_radius=2.0)),
+    label="disc inside a circle of log capacity 2",
+)
+
+
+@pytest.mark.parametrize(
+    "dom, z, n, quad, verdict",
+    [
+        (HAND_BUILT, 0.01 + 0.01j, 0, GammaQuadrature(), Verdict.INCONCLUSIVE),  # lens
+        (HAND_BUILT, 0.01 + 0.01j, 0, GammaQuadrature(divergence_threshold=10.0), Verdict.DIVERGENT),
+        (HAND_BUILT, 0.45 - 0.05j, 1, GammaQuadrature(), Verdict.DIVERGENT),
+        (_LENS_BELOW_STOP, 0j, 0, GammaQuadrature(), Verdict.INCONCLUSIVE),
+        (_LENS_BELOW_STOP, 0j, 0, GammaQuadrature(divergence_threshold=10.0), Verdict.DIVERGENT),
+        (_LOG_CAP_ABOVE_ZERO, 0j, 0, GammaQuadrature(), Verdict.INCONCLUSIVE),
+        (_LOG_CAP_ABOVE_ZERO, 0.05j, 0, GammaQuadrature(), Verdict.INCONCLUSIVE),
+        (_BOTH_ENDS_FAIL, 0j, 0, GammaQuadrature(), Verdict.INCONCLUSIVE),
+        # the lens at the first cell comes before its weight's overflow
+        (DomainSpec(1.0, (DiscObstacle(0.2 + 0j, 0.1),), "lens"), 0j, 300, GammaQuadrature(), Verdict.INCONCLUSIVE),
+        (unit_disc(), 0j, 40, GammaQuadrature(), Verdict.INCONCLUSIVE),  # power overflow
+        (unit_disc(), 0j, 300, GammaQuadrature(), Verdict.INCONCLUSIVE),  # (1/4)^-602 overflows: cell 0
+        (build_domain(ParamRT(F(1, 5), F(1, 100)), 30), 0j, 2, GammaQuadrature(delta_min=1e-60), Verdict.DIVERGENT),
+        (
+            build_domain(ParamRT(F(1, 5), F(1, 100)), 30),
+            0j,
+            2,
+            GammaQuadrature(delta_min=1e-60, divergence_threshold=math.inf),
+            Verdict.INCONCLUSIVE,
+        ),
+        (build_domain(ParamRT(F(1, 5), F(3, 10)), 40), 0j, 0, GammaQuadrature(), Verdict.DIVERGENT),
+        (build_domain(ParamRT(F(1, 5), F(3, 10)), 40), 0.001j, 0, GammaQuadrature(), Verdict.FINITE),
+        (
+            build_domain(ParamRT(F(1, 3), F(1, 5)), 2),
+            0.1 + 0.02j,
+            0,
+            GammaQuadrature(delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8),
+            Verdict.FINITE,
+        ),
+    ],
+    ids=[
+        "lens",
+        "lens-past-stop",
+        "on-segment",
+        "disc-lens",
+        "disc-lens-past-stop",
+        "log-cap-above-zero",
+        "log-cap-above-zero-off-centre",
+        "both-ends-of-cell-0-fail",
+        "lens-before-overflow",
+        "power-overflow",
+        "power-overflow-first-cell",
+        "family-power-overflow-past-stop",
+        "family-power-overflow",
+        "family-divergent",
+        "family-off-axis",
+        "fekete",
+    ],
+)
+def test_gamma_numeric_matches_sequential_reference_fixed(dom, z, n, quad, verdict):
+    assert _assert_matches_reference(dom, z, n, quad).verdict is verdict
+
+
+def test_gamma_numeric_fekete_path_stops_solving_at_divergence(monkeypatch):
+    # one Fekete solve per grid point the sweep reaches: cells + 1 of them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fekete_log_capacity(*args, **kwargs)
+
+    monkeypatch.setattr(wiener_module, "fekete_log_capacity", counted)
+    dom = build_domain(ParamRT(F(1, 3), F(1, 5)), 2)
+    quad = GammaQuadrature(
+        delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8, divergence_threshold=30.0
+    )
+    rep = gamma_numeric(dom, 0.1 + 0.02j, 0, quad)
+    assert rep.verdict is Verdict.DIVERGENT
+    assert len(calls) == rep.truncation["cells"] + 1 < 13
+
+
+def test_gamma_numeric_rejects_negative_n():
+    with pytest.raises(ValueError, match="n >= 0"):
+        gamma_numeric(unit_disc(), 0j, -1)
 
 
 # ---------------------------------------------------------------------------
