@@ -2,7 +2,7 @@
 kernel, counterexample.
 
 Records are {config, results, provenance} JSON (CSV for sweeps).  Identical
-config + seed give byte-identical output apart from the provenance timestamp.
+config gives byte-identical output apart from the provenance timestamp.
 to_json_text writes each record in one walk, byte-identical to the stdlib's
 json.dumps(to_jsonable(record), sort_keys=True, indent=2).
 Rational inputs like "1/8" stay exact through every threshold comparison;
@@ -170,9 +170,8 @@ def _write(obj, out: list[str], nl: str) -> None:
         _write(_shallow(obj), out, nl)
 
 
-def _provenance(seed) -> dict:
+def _provenance() -> dict:
     return {
-        "seed": seed,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "tool": "slitdisc",
         "version": __version__,
@@ -342,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="write the record to this path instead of stdout")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--kmax", type=int, default=200)
 
     sp = sub.add_parser("capacity", help="log capacity of a described set, closed form vs oracles")
     sp.add_argument("--shape", choices=("circle", "arc", "segment", "disc", "family-arc"), required=True)
@@ -356,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--fekete-n", type=int, default=0, help="also run the Fekete oracle with n points")
     sp.add_argument("--equilibrium-m", type=int, default=0, help="also run the equilibrium-measure oracle with m cells")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the oracles' random starts")
     common(sp)
 
     sp = sub.add_parser("gamma", help="Wiener-type gamma^(n): analytic shells at 0, bracketing quadrature elsewhere")
@@ -366,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--numeric", action="store_true", help="force the quadrature path even at z = 0")
     sp.add_argument("--delta-min", type=float, default=1e-12)
     sp.add_argument("--threshold", type=float, default=1e6)
+    sp.add_argument("--kmax", type=int, default=200, help="arcs of the domain the quadrature path builds")
     common(sp)
 
     sp = sub.add_parser("classify", help="completeness classification by the threshold rules")
@@ -380,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-min", default="1/100")
     sp.add_argument("--t-max", default="49/100")
     sp.add_argument("--t-steps", type=int, default=50)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     common(sp)
 
     sp = sub.add_parser("qc", help="quasi-conformal map data and parameter transport")
@@ -427,12 +426,12 @@ def main(argv: list[str] | None = None) -> int:
         results, text = out
     else:
         results = out
-    if text is not None and args.format == "csv":
+    if text is not None:
         _emit({}, args, text=text)
         return 0
     record = {
         "config": _config_echo(args),
-        "provenance": _provenance(args.seed),
+        "provenance": _provenance(),
         "results": results,
     }
     _emit(record, args)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .numerics import EXP_OVERFLOW, Real, exp_or_inf, is_exact, le_guarded, power
+from .numerics import EXP_OVERFLOW, Real, exp_or_inf, is_exact, le_guarded, log_real, power
 
 NEG_INF = float("-inf")
 
@@ -259,16 +259,20 @@ def _check_pairwise_disjoint(obstacles: tuple[Obstacle, ...]) -> None:
     arcs), and no point may lie on another piece; segment-vs-curve
     intersection is not computed exactly (segments appear standalone in
     capacity descriptors).  Arcs are grouped by radius, so only arcs on the
-    same circle are compared: a family domain of k arcs costs O(k).
+    same circle are compared, and a point only with the arcs on its own
+    circle: a family domain of k arcs costs O(k).
     """
     arcs_by_radius: dict[float, list[ArcObstacle]] = {}
-    discs: list[DiscObstacle] = []
-    for ob in obstacles:
+    non_arcs: list[tuple[int, Obstacle]] = []
+    for j, ob in enumerate(obstacles):
         if isinstance(ob, ArcObstacle):
             arcs_by_radius.setdefault(ob.radius, []).append(ob)
-        elif isinstance(ob, DiscObstacle):
-            discs.append(ob)
+        else:
+            non_arcs.append((j, ob))
+    discs = [ob for _, ob in non_arcs if isinstance(ob, DiscObstacle)]
     for same_circle in arcs_by_radius.values():
+        if len(same_circle) < 2:  # a family domain has one arc per circle
+            continue
         for i, a in enumerate(same_circle):
             for b in same_circle[i + 1 :]:
                 if _angular_overlap(a.angular_interval(), b.angular_interval()):
@@ -280,11 +284,16 @@ def _check_pairwise_disjoint(obstacles: tuple[Obstacle, ...]) -> None:
     centred = [d.radius for d in discs if abs(d.center) == 0.0]
     if arcs_by_radius and centred and min(arcs_by_radius) <= max(centred):
         raise ValueError("arc swallowed by disc obstacle")
-    for i, pt in enumerate(obstacles):
+    # a point is tested against every other non-arc, and against the arcs
+    # on circles that pass _point_on_obstacle's radius test
+    for i, pt in non_arcs:
         if isinstance(pt, PointObstacle):
-            for j, other in enumerate(obstacles):
-                if j != i and _point_on_obstacle(pt.location, other):
-                    raise ValueError("point obstacle lies on another obstacle")
+            d = abs(pt.location)
+            near = [a for R, same in arcs_by_radius.items() if abs(d - R) <= 1e-12 * R for a in same]
+            if any(_point_on_obstacle(pt.location, a) for a in near) or any(
+                j != i and _point_on_obstacle(pt.location, other) for j, other in non_arcs
+            ):
+                raise ValueError("point obstacle lies on another obstacle")
 
 
 def _point_on_obstacle(z: complex, ob: Obstacle) -> bool:
@@ -339,7 +348,8 @@ def make_arc(params: ParamRT, k: int) -> ArcObstacle:
 def _family_arcs(params: ParamRT, ks: Iterable[int]) -> Iterator[ArcObstacle]:
     """The arcs A_k for k in ks, as make_arc gives them, with r, t and their
     logs converted to floats once.  Raises OverflowError at the first radius
-    r^k that underflows doubles; the logs are taken only past that check."""
+    r^k that underflows doubles; the logs are taken only past that check,
+    by log_real, so a t below the double range gives degenerate arcs."""
     r = float(params.r)
     t = float(params.t)
     log_r = log_t = None
@@ -348,7 +358,7 @@ def _family_arcs(params: ParamRT, ks: Iterable[int]) -> Iterator[ArcObstacle]:
         if radius == 0.0:
             raise OverflowError(f"arc radius r^{k} underflows doubles for r={r}")
         if log_r is None:
-            log_r, log_t = math.log(r), math.log(t)
+            log_r, log_t = log_real(params.r), log_real(params.t)
         exponent = -k * log_t  # log of t^-k
         degenerate = exponent > EXP_OVERFLOW
         if degenerate:

@@ -11,6 +11,7 @@ back to a guarded comparison with an explicit boundary warning.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -19,6 +20,9 @@ Real = Union[int, float, Fraction]
 
 # exp() overflows doubles just above 709.78; stay a hair below
 EXP_OVERFLOW = 709.0
+# float pairs this close, relative to the larger, compare as equal
+REL_GUARD = 1e-15
+LOG2 = math.log(2.0)
 
 
 def is_exact(x: Real) -> bool:
@@ -32,6 +36,19 @@ def exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def log_real(x: Real) -> float:
+    """log of a positive real, also one below the double range: math.log of
+    the float where that is a normal double, else log_fraction."""
+    f = float(x)
+    return math.log(f) if f >= sys.float_info.min else log_fraction(Fraction(x))
+
+
+def log_fraction(x: Fraction) -> float:
+    """log of a positive Fraction, also one below the double range."""
+    s = x.denominator.bit_length() - x.numerator.bit_length()
+    return math.log(float(x * Fraction(2) ** s)) - s * LOG2
 
 
 def parse_number(text: str) -> Real:
@@ -55,10 +72,10 @@ class GuardedComparison:
     boundary_warning: bool
 
 
-def le_guarded(a: Real, b: Real, rel_guard: float = 1e-15) -> GuardedComparison:
+def le_guarded(a: Real, b: Real) -> GuardedComparison:
     """a <= b, exact for rationals, guarded for floats.
 
-    Float pairs within rel_guard of each other, relative to the larger
+    Float pairs within REL_GUARD of each other, relative to the larger
     magnitude at every scale, are treated as equal: the comparison answers
     True (inclusive boundary) and raises the warning flag so reports can
     surface that the verdict sits inside the guard band.
@@ -67,7 +84,7 @@ def le_guarded(a: Real, b: Real, rel_guard: float = 1e-15) -> GuardedComparison:
         return GuardedComparison(result=(a <= b), boundary_warning=False)
     fa, fb = float(a), float(b)
     scale = max(abs(fa), abs(fb))
-    if fa != fb and abs(fa - fb) <= rel_guard * scale:
+    if fa != fb and abs(fa - fb) <= REL_GUARD * scale:
         return GuardedComparison(result=True, boundary_warning=True)
     return GuardedComparison(result=(fa <= fb), boundary_warning=(fa == fb))
 

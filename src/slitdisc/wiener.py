@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Literal
 
 import numpy as np
 
-from .capacity import fekete_log_capacity, log_capacity, union_log_capacity
+from .capacity import log_capacity, union_log_capacity
 from .geometry import (
     ArcObstacle,
     DiscObstacle,
@@ -30,11 +28,10 @@ from .geometry import (
     PointObstacle,
     check_shell_index,
     first_shell_index,
-    trapped_obstacles,
     _clip_obstacle,
     _wrap_angle,
 )
-from .numerics import GuardedComparison, exp_or_inf, le_guarded, power
+from .numerics import LOG2, GuardedComparison, exp_or_inf, le_guarded, log_fraction, log_real, power
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -44,7 +41,6 @@ FLAG_RATIO_ONE = (
 )
 FLAG_GUARD_BAND = "float threshold comparison landed inside the 1e-15 guard band"
 FLAG_NO_SHELLS = "no shell decomposition for r > 1/2; verdict is ratio-only"
-FLAG_FEKETE_PATH = "fekete capacity path: bracket sums are estimates, not certified bounds"
 
 
 class Classification(Enum):
@@ -62,15 +58,7 @@ class Verdict(Enum):
 # ---------------------------------------------------------------------------
 # the reciprocal-log weight g, its tails and the shell terms, in one array pass
 
-LOG2 = math.log(2.0)
 LOG_EPS = -53 * LOG2  # e_j below 2^-53 leaves 1 + e_j == 1 in doubles
-
-
-def _log(x) -> float:
-    """log of a positive parameter, also one below the double range: math.log
-    of the float where that is a normal double, else _log_fraction."""
-    f = float(x)
-    return math.log(f) if f >= sys.float_info.min else _log_fraction(Fraction(x))
 
 
 def log_g(params: ParamRT, j):
@@ -80,7 +68,7 @@ def log_g(params: ParamRT, j):
     Computed entirely in log-domain: t^-j overflows floats long before the
     family runs out of interesting indices.
     """
-    log_t, log_inv_r = _log(params.t), -_log(params.r)
+    log_t, log_inv_r = log_real(params.t), -log_real(params.r)
     return -np.logaddexp(-j * log_t, np.log(j * log_inv_r))
 
 
@@ -106,7 +94,7 @@ def _shell_logs(params: ParamRT, n: int, k0: int, k_stop: int):
     k may run past the index where the shell radii underflow doubles.
     """
     r, t = float(params.r), float(params.t)
-    log_r, log_t = _log(params.r), _log(params.t)
+    log_r, log_t = log_real(params.r), log_real(params.t)
     J = next(j for j in itertools.count(k_stop + 1) if _log_e(j, log_t, -log_r) < LOG_EPS)
     lg = log_g(params, np.arange(1, J + 1))
     rem = (J + 1) * log_t - math.log1p(-t)  # log of t^(J+1) / (1 - t)
@@ -142,20 +130,20 @@ def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float
 # classification by the exact ratio test
 
 
-def _ratio_test(params: ParamRT, n: int) -> tuple[object, GuardedComparison, object]:
-    """(q = t / r^(2n+2), the guarded test q >= 1 as r^(2n+2) <= t, r^(2n+2)),
-    from one power of r.  q is a Fraction when both parameters are exact,
-    else float(t) / float(r)^(2n+2); the test compares power(r, 2n+2), exact
-    for a rational r, so for exact r and float t the two take different powers.
-    """
+def _ratio_test(params: ParamRT, n: int) -> tuple[object, Fraction, GuardedComparison, object]:
+    """(the ratio shown, the exact q = t / r^(2n+2) of the parameters' values,
+    the guarded test q >= 1 as r^(2n+2) <= t, r^(2n+2) = power(r, 2n+2)).
+    The ratio shown is q when both parameters are exact, else float(q), so
+    it agrees with the test up to the guard band."""
     p = 2 * n + 2
     r_p = power(params.r, p)
-    ratio = params.t / r_p if params.is_exact else float(params.t) / float(params.r) ** p
-    return ratio, le_guarded(r_p, params.t), r_p
+    q = params.t / r_p if params.is_exact else Fraction(params.t) / Fraction(params.r) ** p
+    return q if params.is_exact else float(q), q, le_guarded(r_p, params.t), r_p
 
 
 def divergence_ratio(params: ParamRT, n: int):
-    """t / r^(2n+2); Fraction when the parameters are exact."""
+    """t / r^(2n+2); Fraction when the parameters are exact, else the float
+    nearest to the exact ratio of their values."""
     return _ratio_test(params, n)[0]
 
 
@@ -180,8 +168,8 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
     decides divergence by, so the classifier and gamma^(n)(0) cannot
     disagree; t <= r^4 takes the same r^4.
     """
-    ratio_n0, exhaustive, _ = _ratio_test(params, 0)
-    ratio_n1, ratio_one, r4 = _ratio_test(params, 1)
+    ratio_n0, _, exhaustive, _ = _ratio_test(params, 0)
+    ratio_n1, _, ratio_one, r4 = _ratio_test(params, 1)
     not_complete = le_guarded(params.t, r4)
     flags = list(params.flags())
     if exhaustive.boundary_warning or not_complete.boundary_warning:
@@ -235,12 +223,6 @@ class GammaReport:
 DIVERGENT_REPORT_TERMS = 40
 
 
-def _log_fraction(x: Fraction) -> float:
-    """log of a positive Fraction, also one below the double range."""
-    s = x.denominator.bit_length() - x.numerator.bit_length()
-    return math.log(float(x * Fraction(2) ** s)) - s * LOG2
-
-
 def _finite_shells(params: ParamRT, n: int, k0: int, q: Fraction):
     """(_shell_logs up to K, log lower and upper remainders past K, sigma_K, rho_K,
     magnitude of the remainders' logs), K the first k > k0 with e_k below 2^-53
@@ -248,8 +230,8 @@ def _finite_shells(params: ParamRT, n: int, k0: int, q: Fraction):
     and lower_{k+1} / lower_k >= sigma_K = q / (1 + e_{K+2}) for all k >= K: the
     remainders are at most upper_K rho_K / (1 - rho_K) and at least
     lower_K sigma_K / (1 - sigma_K).  q is exact, so 1 - q is too."""
-    log_q, log_1mq = _log_fraction(q), _log_fraction(1 - q)
-    log_t, log_inv_r = _log(params.t), -_log(params.r)
+    log_q, log_1mq = log_fraction(q), log_fraction(1 - q)
+    log_t, log_inv_r = log_real(params.t), -log_real(params.r)
     K = next(k for k in itertools.count(k0 + 1) if _log_e(k, log_t, log_inv_r) < min(LOG_EPS, log_1mq - LOG2))
     logs = _shell_logs(params, n, k0, K)
     log_e_up, log_e_lo = _log_e(K, log_t, log_inv_r), _log_e(K + 2, log_t, log_inv_r)
@@ -281,11 +263,11 @@ def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
     term.  So both sums are widened outward by 2^-53 (N + 16) A in log
     (log_margin).
     """
-    ratio, cmp, _ = _ratio_test(params, n)
+    ratio, q, cmp, _ = _ratio_test(params, n)
     flags = list(params.flags())
     if cmp.boundary_warning:
         flags.append(FLAG_GUARD_BAND)
-    if cmp.result and (cmp.boundary_warning or ratio == 1):
+    if cmp.result and (cmp.boundary_warning or q == 1):
         flags.append(FLAG_RATIO_ONE)
     have_shells = not (params.r > Fraction(1, 2))
     if not have_shells:
@@ -299,8 +281,6 @@ def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
             logs = _shell_logs(params, n, k0, k0 + DIVERGENT_REPORT_TERMS - 1)
             lo_rest, up_rest, rest_size = NEG_INF, NEG_INF, 0.0
         else:
-            # for float parameters, the exact ratio of their values
-            q = ratio if params.is_exact else Fraction(params.t) / Fraction(params.r) ** (2 * n + 2)
             logs, lo_rest, up_rest, sigma, rho, rest_size = _finite_shells(params, n, k0, q)
             truncation["tail_ratios"] = (sigma, rho)
         _, k, lower, upper, size = logs
@@ -333,28 +313,20 @@ def gamma_at_origin(params: ParamRT, n: int) -> GammaReport:
 
 @dataclass(frozen=True)
 class GammaQuadrature:
-    """Bracketing-quadrature parameters for gamma_numeric.
-
-    capacity_path chooses how trapped-set capacities are produced:
-    "closed_form" brackets the union with exact per-piece capacities (the
-    certified path); "fekete" replaces both bracket sides with the oracle
-    estimate, useful as a cross-check at representable scales.
-    """
+    """Bracketing-quadrature parameters for gamma_numeric: the resolved
+    window [delta_min, 1/4], and the lower sum past which the verdict is
+    Divergent."""
 
     delta_min: float = 1e-12
-    points_per_octave: int = 8
     divergence_threshold: float = 1e6
-    capacity_path: Literal["closed_form", "fekete"] = "closed_form"
-    fekete_n: int = 24
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta_min < 0.25):
             raise ValueError("need 0 < delta_min < 1/4")
-        if self.points_per_octave < 1:
-            raise ValueError("points_per_octave must be >= 1")
-        if self.capacity_path not in ("closed_form", "fekete"):
-            raise ValueError("capacity_path must be closed_form or fekete")
+
+
+# geometric grid points per octave of delta, besides the breakpoints
+POINTS_PER_OCTAVE = 8
 
 
 def _probe(ob: Obstacle, z: complex) -> tuple[float, float, float, float]:
@@ -400,12 +372,12 @@ def _probe(ob: Obstacle, z: complex) -> tuple[float, float, float, float]:
     return dmin, max(d0, d1), max(d0, d1), lv
 
 
-def _delta_grid(dmin: np.ndarray, dmax: np.ndarray, quad: GammaQuadrature) -> list[float]:
+def _delta_grid(dmin: np.ndarray, dmax: np.ndarray, delta_min: float) -> list[float]:
     """The cell ends, descending from 1/4 to delta_min: a geometric grid of
-    points_per_octave points an octave, and every dmin, dmax and 2 dmax
+    POINTS_PER_OCTAVE points an octave, and every dmin, dmax and 2 dmax
     strictly between the two (the breakpoints of the trapped sets)."""
-    top, bottom = 0.25, quad.delta_min
-    n_geo = max(1, int(math.ceil(math.log2(top / bottom) * quad.points_per_octave)))
+    top, bottom = 0.25, delta_min
+    n_geo = max(1, int(math.ceil(math.log2(top / bottom) * POINTS_PER_OCTAVE)))
     geometric = [top * (bottom / top) ** (i / n_geo) for i in range(1, n_geo)]  # float powers, as numpy's differ
     breaks = np.concatenate((dmin, dmax, 2.0 * dmax))
     pts = {top, bottom, *geometric, *breaks[(bottom < breaks) & (breaks < top)].tolist()}
@@ -525,29 +497,6 @@ def _closed_form_h(domain: DomainSpec, z: complex, probes: np.ndarray, deltas: l
     return h_lo, h_up, errors
 
 
-def _fekete_h(domain: DomainSpec, z: complex, g: list[float], weights: np.ndarray, quad: GammaQuadrature):
-    """(h, error texts) from the Fekete estimate on trapped_obstacles, at the
-    grid points the top-down sweep reaches: it ends at the first error, at
-    the cell whose weight overflows, or once the lower sum crosses the
-    divergence threshold, so no solve runs past the stop."""
-    h = np.zeros(len(g))
-    lower_sum = 0.0
-    for c in range(len(g) - 1):
-        for i in (1, 0) if c == 0 else (c + 1,):
-            try:
-                est = fekete_log_capacity(trapped_obstacles(domain, z, g[i]), quad.fekete_n, quad.seed).log_value
-            except ValueError as exc:
-                return h, {i: str(exc)}
-            # a polar or empty trapped set gives -inf, hence h = 0
-            h[i] = 0.0 if est == NEG_INF else 1.0 / (-est)
-        if c == len(weights):
-            break
-        lower_sum += h[c + 1] * weights[c]
-        if lower_sum > quad.divergence_threshold:
-            break
-    return h, {}
-
-
 def _cell_weights(g: list[float], n: int) -> tuple[np.ndarray, str | None]:
     """Exact integrals (a^-p - b^-p) / p of delta^(-2n-3), p = 2n + 2, over
     the cells [a, b] = [g[c+1], g[c]] of the descending grid g, up to the
@@ -580,9 +529,10 @@ def gamma_numeric(
     below delta_min is never claimed: finite verdicts mean "finite over the
     resolved window", and the truncation metadata says so.
 
-    The closed-form path is one array pass over the grid.  One pass over
-    the obstacles gives each piece's probe radii (dmin, dmax), clip scale
-    and closed-form log capacity; the radii are the grid's breakpoints.
+    h is bracketed with the closed-form capacities of the trapped pieces,
+    in one array pass over the grid.  One pass over the obstacles gives
+    each piece's probe radii (dmin, dmax), clip scale and closed-form log
+    capacity; the radii are the grid's breakpoints.
     _TrappedSets then bounds the trapped set at every delta at once: one
     searchsorted finds the whole pieces, ties dmax == delta included where
     the clip would return them whole (nearly every arc of a family domain
@@ -596,24 +546,17 @@ def gamma_numeric(
     the double range) are recorded at the grid points where they occur,
     and the report takes the first cell a top-down sweep would fail at,
     unless the lower sum crossed the threshold before it; so it equals the
-    per-delta loop this replaced, cell for cell.  The fekete path
-    estimates h on the trapped_obstacles pieces cell by cell and runs no
-    solve past the stop.  n must be >= 0.
+    per-delta loop this replaced, cell for cell.  n must be >= 0.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if abs(z) + 0.25 > domain.outer_radius + 1e-12:
         raise ValueError("probe discs of radius 1/4 must stay inside the domain's outer circle")
     probes = np.array([_probe(ob, z) for ob in domain.obstacles]).reshape(-1, 4).T
-    g = _delta_grid(probes[0], probes[1], quad)  # descending: cell c is [g[c+1], g[c]]
+    g = _delta_grid(probes[0], probes[1], quad.delta_min)  # descending: cell c is [g[c+1], g[c]]
     weights, overflow = _cell_weights(g, n)
     flags = list(domain.family.flags()) if domain.family is not None else []
-    if quad.capacity_path == "fekete":
-        flags.append(FLAG_FEKETE_PATH)
-        h_up, errors = _fekete_h(domain, z, g, weights, quad)
-        h_lo = h_up
-    else:
-        h_lo, h_up, errors = _closed_form_h(domain, z, probes, g)
+    h_lo, h_up, errors = _closed_form_h(domain, z, probes, g)
     # the sweep evaluates h at a cell's lower end a = g[c+1] (for cell 0,
     # then at its upper end g[0]) before its weight
     failures = [(max(i - 1, 0), i == 0, text) for i, text in errors.items()]
@@ -627,7 +570,6 @@ def gamma_numeric(
     truncation: dict = {
         "mode": "numeric-quadrature",
         "delta_min": quad.delta_min,
-        "capacity_path": quad.capacity_path,
         "divergence_threshold": quad.divergence_threshold,
         "unresolved_below_delta_min": True,
     }

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import enum
@@ -42,7 +43,7 @@ def test_counterexample_canonical_record(capsys):
     assert chain["t_interval"] == ["1/64", "1/16"]
     assert record["config"]["alpha"] == "2/3"
     prov = record["provenance"]
-    assert prov["tool"] == "slitdisc" and prov["seed"] == 0 and "timestamp_utc" in prov
+    assert prov["tool"] == "slitdisc" and "timestamp_utc" in prov and "seed" not in prov
 
 
 def test_output_deterministic_modulo_timestamp(capsys):
@@ -110,6 +111,22 @@ def test_gamma_t_below_the_double_range(capsys):
     assert rep["verdict"] == "Finite"
     assert rep["truncation"]["converged"] is True
     assert rep["shell_terms_log"][0][0] == 1 and math.isfinite(rep["shell_terms_log"][0][2])
+
+
+T_BELOW_THE_DOUBLE_RANGE = f"1/{10**400}"  # float(t) is 0.0
+
+
+def test_gamma_numeric_t_below_the_double_range(capsys):
+    # every arc is degenerate, a point of capacity 0: h vanishes on every cell
+    argv = ["gamma", "--r", "1/5", "--t", T_BELOW_THE_DOUBLE_RANGE, "--numeric"]
+    rep = run_json(capsys, argv)["results"]["report"]
+    assert rep["verdict"] == "Finite" and rep["truncation"]["cells"] == 336
+    assert rep["lower_sum"] == rep["upper_sum"] == 0.0
+
+
+def test_capacity_family_arc_t_below_the_double_range(capsys):
+    argv = ["capacity", "--shape", "family-arc", "--r", "1/5", "--t", T_BELOW_THE_DOUBLE_RANGE]
+    assert run_json(capsys, argv)["results"]["closed_form_log"] == "-inf"
 
 
 def test_gamma_numeric_path(capsys):
@@ -419,7 +436,7 @@ def test_main_looks_up_command_by_name(monkeypatch, capsys):
     record = run_json(capsys, ["classify", "--r", "1/7", "--t", "1/50"])
     assert seen == [("1/7", "1/50")]
     assert record["results"] == {"replaced": True}
-    assert record["config"] == {"command": "classify", "format": "json", "kmax": 200, "r": "1/7", "seed": 0, "t": "1/50"}
+    assert record["config"] == {"command": "classify", "r": "1/7", "t": "1/50"}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -467,3 +484,58 @@ def test_readme_records_are_the_stdlib_encoding(capsys, monkeypatch):
             assert not records, argv
         else:
             assert len(records) == 1 and out == dumps(records[0]) + "\n", argv
+
+
+# argvs that together reach every option of each subcommand
+ARGVS_BY_COMMAND = {
+    "capacity": [
+        ["capacity", "--shape", "circle", "--fekete-n", "8", "--seed", "1"],
+        ["capacity", "--shape", "arc", "--half-width", "1.0", "--equilibrium-m", "16"],
+        ["capacity", "--shape", "segment"],
+        ["capacity", "--shape", "disc"],
+        ["capacity", "--shape", "family-arc"],
+    ],
+    "gamma": [["gamma", "--r", "1/5", "--t", "1/100", "--numeric", "--kmax", "25"]],
+    "classify": [["classify", "--r", "1/5", "--t", "1/100"]],
+    "phase-diagram": [["phase-diagram", "--r-steps", "2", "--t-steps", "2", "--format", "csv"]],
+    "qc": [["qc", "--alpha", "2/3", "--r", "1/8"]],
+    "kernel": [
+        ["kernel", "--domain", "annulus", "--max-degree", "5", "--min-degree", "-3", "--z", "0.7"]
+        + ["--radial-order", "16", "--angular-points", "8", "--path", "0.6", "0.7", "--samples", "9"]
+    ],
+    "counterexample": [["counterexample"]],
+}
+
+
+class _ReadRecorder:
+    """An argparse Namespace that records which attributes are read."""
+
+    def __init__(self, namespace: argparse.Namespace, read: set[str]):
+        self._namespace, self._read = namespace, read
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._namespace, name)
+
+
+def test_no_dead_cli_option():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(ARGVS_BY_COMMAND) == set(subparsers.choices)
+    for command, argvs in ARGVS_BY_COMMAND.items():
+        dests, read = set(), set()
+        for argv in argvs:
+            namespace = build_parser().parse_args(argv)
+            dests |= set(vars(namespace))
+            getattr(cli, "cmd_" + command.replace("-", "_"))(_ReadRecorder(namespace, read))
+        assert dests - {"command", "out"} - read == set(), command
+
+
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = readme_python_blocks()
+    assert len(blocks) >= 3
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from shell_reference import sandwich_sums
 
-import slitdisc.wiener as wiener_module
-from slitdisc.capacity import fekete_log_capacity, log_capacity, union_log_capacity
+from slitdisc.capacity import log_capacity, union_log_capacity
 from slitdisc.geometry import (
     ArcObstacle,
     CompactSet,
@@ -32,7 +31,6 @@ from slitdisc.geometry import (
     unit_disc,
 )
 from slitdisc.wiener import (
-    FLAG_FEKETE_PATH,
     FLAG_GUARD_BAND,
     FLAG_NO_SHELLS,
     FLAG_RATIO_ONE,
@@ -243,20 +241,30 @@ def test_divergence_ratio_exactness():
     assert isinstance(divergence_ratio(ParamRT(0.2, 0.3), 0), float)
 
 
-@pytest.mark.parametrize("p", [ParamRT(F(1, 5), 0.04), ParamRT(0.2, F(1, 25))], ids=["exact-r", "exact-t"])
-def test_mixed_exactness_pinned(p):
-    # one parameter exact: the ratios are float, t / 0.2**p; the tests
-    # compare power(r, p) as le_guarded does, so t = r^2 lands on the band
+@pytest.mark.parametrize(
+    "p, ratio_n0, ratio_n1",
+    [
+        # 0.04 * 25 = 1 + 2.1e-17 exactly
+        (ParamRT(F(1, 5), 0.04), 1.0, 25.0),
+        # float(0.2)^2 is 0.04 + 4.4e-18: 1/25 over it is 1 - 1.1e-16
+        (ParamRT(0.2, F(1, 25)), 0.9999999999999999, 24.999999999999993),
+    ],
+    ids=["exact-r", "exact-t"],
+)
+def test_mixed_exactness_pinned(p, ratio_n0, ratio_n1):
+    # one parameter exact: the ratios are the floats nearest to the exact
+    # ratios of the values; the tests compare power(r, p) as le_guarded
+    # does, so t = r^2 lands on the band
     rep = threshold_report(p)
     assert rep.classification is Classification.EXHAUSTIVE_HENCE_COMPLETE
-    assert type(rep.ratio_n0) is float and rep.ratio_n0 == 0.9999999999999998
-    assert type(rep.ratio_n1) is float and rep.ratio_n1 == 24.999999999999996
+    assert type(rep.ratio_n0) is float and rep.ratio_n0 == ratio_n0 == float(F(p.t) / F(p.r) ** 2)
+    assert type(rep.ratio_n1) is float and rep.ratio_n1 == ratio_n1 == float(F(p.t) / F(p.r) ** 4)
     assert rep.exhaustive_test.result and rep.exhaustive_test.boundary_warning
     assert not rep.not_complete_test.result and not rep.not_complete_test.boundary_warning
     assert rep.flags == (FLAG_GUARD_BAND,)
     origin = gamma_at_origin(p, 0)
     assert origin.verdict is Verdict.DIVERGENT
-    assert type(origin.ratio) is float and origin.ratio == 0.9999999999999998
+    assert type(origin.ratio) is float and origin.ratio == ratio_n0
     assert origin.flags == (FLAG_GUARD_BAND, FLAG_RATIO_ONE)
 
 
@@ -461,13 +469,6 @@ def test_gamma_numeric_inconclusive_on_power_overflow():
     assert "failed_cell" in rep.truncation and "error" in rep.truncation
 
 
-def test_gamma_numeric_fekete_path_flag():
-    quad = GammaQuadrature(capacity_path="fekete", fekete_n=8)
-    rep = gamma_numeric(punctured_disc(), 0j, 0, quad)
-    assert FLAG_FEKETE_PATH in rep.flags
-    assert rep.value == 0.0
-
-
 def test_gamma_numeric_probe_must_fit():
     with pytest.raises(ValueError):
         gamma_numeric(unit_disc(), 0.8 + 0j, 0)
@@ -487,10 +488,6 @@ def test_gamma_numeric_subnormal_centre_matches_origin():
 def test_gamma_quadrature_validation():
     with pytest.raises(ValueError):
         GammaQuadrature(delta_min=0.3)
-    with pytest.raises(ValueError):
-        GammaQuadrature(points_per_octave=0)
-    with pytest.raises(ValueError):
-        GammaQuadrature(capacity_path="guess")
 
 
 def test_gamma_numeric_lens_overlap_stays_inconclusive():
@@ -502,21 +499,6 @@ def test_gamma_numeric_lens_overlap_stays_inconclusive():
     assert rep.truncation["failed_cell"] == 6 and rep.truncation["cells"] == 6
     assert rep.truncation["error"] == "partial disc-obstacle overlap (lens) is not representable as a descriptor"
     assert rep.lower_sum == rep.upper_sum == 4.7474944098891925
-
-
-def test_gamma_numeric_fekete_path_pinned():
-    # arc 2 of D^{1/3, 1/5} is clipped by the probe discs around z; the Fekete
-    # estimates on the trapped pieces are pinned bit for bit
-    dom = build_domain(ParamRT(F(1, 3), F(1, 5)), 2)
-    quad = GammaQuadrature(delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8)
-    rep = gamma_numeric(dom, 0.1 + 0.02j, 0, quad)
-    assert rep.verdict is Verdict.FINITE and rep.truncation["cells"] == 12
-    assert rep.lower_sum == 34.91823718828753
-    assert rep.upper_sum == 45.6228930307232
-    assert rep.shell_terms[1] == (1, 0.002192772356608597, 0.009925212798942781)
-    assert rep.shell_terms[8] == (8, 21.092194591740576, 21.092194591740576)
-    assert rep.shell_terms[9] == (9, 1.1351749127735894e-08, 1.6541964664695002e-08)
-    assert rep.shell_terms[10] == (10, 0.0, 10.696923396803122)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +646,7 @@ def _ref_probe_radii(ob, z):
 
 def _ref_delta_grid(radii, quad):
     top, bottom = 0.25, quad.delta_min
-    n_geo = max(1, int(math.ceil(math.log2(top / bottom) * quad.points_per_octave)))
+    n_geo = max(1, int(math.ceil(math.log2(top / bottom) * 8)))  # 8 points an octave
     pts = {top, bottom}
     for i in range(1, n_geo):
         pts.add(top * (bottom / top) ** (i / n_geo))
@@ -739,11 +721,7 @@ class _RefSplit:
         return lower, recip_sum
 
 
-def _ref_bracket_h(split, delta, quad):
-    if quad.capacity_path == "fekete":
-        est = fekete_log_capacity(CompactSet(split.pieces(delta)), quad.fekete_n, quad.seed).log_value
-        h = 0.0 if est == -math.inf else 1.0 / (-est)
-        return h, h
+def _ref_bracket_h(split, delta):
     lower, recip_sum = split.log_bounds(delta)
     if lower == -math.inf:
         return 0.0, 0.0
@@ -767,13 +745,10 @@ def reference_gamma_numeric(domain, z, n, quad=GammaQuadrature()):
     radii = [_ref_probe_radii(ob, z) for ob in domain.obstacles]
     grid = _ref_delta_grid(radii, quad)
     flags = list(domain.family.flags()) if domain.family is not None else []
-    if quad.capacity_path == "fekete":
-        flags.append(FLAG_FEKETE_PATH)
     cells, lower_sum, upper_sum = [], 0.0, 0.0
     truncation = {
         "mode": "numeric-quadrature",
         "delta_min": quad.delta_min,
-        "capacity_path": quad.capacity_path,
         "divergence_threshold": quad.divergence_threshold,
         "unresolved_below_delta_min": True,
     }
@@ -785,7 +760,7 @@ def reference_gamma_numeric(domain, z, n, quad=GammaQuadrature()):
 
         def at(delta):
             if delta not in h_cache:
-                h_cache[delta] = _ref_bracket_h(split, delta, quad)
+                h_cache[delta] = _ref_bracket_h(split, delta)
             return h_cache[delta]
 
         for a, b in zip(grid[-2::-1], grid[::-1]):
@@ -916,13 +891,6 @@ _BOTH_ENDS_FAIL = DomainSpec(
         ),
         (build_domain(ParamRT(F(1, 5), F(3, 10)), 40), 0j, 0, GammaQuadrature(), Verdict.DIVERGENT),
         (build_domain(ParamRT(F(1, 5), F(3, 10)), 40), 0.001j, 0, GammaQuadrature(), Verdict.FINITE),
-        (
-            build_domain(ParamRT(F(1, 3), F(1, 5)), 2),
-            0.1 + 0.02j,
-            0,
-            GammaQuadrature(delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8),
-            Verdict.FINITE,
-        ),
     ],
     ids=[
         "lens",
@@ -940,29 +908,10 @@ _BOTH_ENDS_FAIL = DomainSpec(
         "family-power-overflow",
         "family-divergent",
         "family-off-axis",
-        "fekete",
     ],
 )
 def test_gamma_numeric_matches_sequential_reference_fixed(dom, z, n, quad, verdict):
     assert _assert_matches_reference(dom, z, n, quad).verdict is verdict
-
-
-def test_gamma_numeric_fekete_path_stops_solving_at_divergence(monkeypatch):
-    # one Fekete solve per grid point the sweep reaches: cells + 1 of them
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return fekete_log_capacity(*args, **kwargs)
-
-    monkeypatch.setattr(wiener_module, "fekete_log_capacity", counted)
-    dom = build_domain(ParamRT(F(1, 3), F(1, 5)), 2)
-    quad = GammaQuadrature(
-        delta_min=1e-2, points_per_octave=1, capacity_path="fekete", fekete_n=8, divergence_threshold=30.0
-    )
-    rep = gamma_numeric(dom, 0.1 + 0.02j, 0, quad)
-    assert rep.verdict is Verdict.DIVERGENT
-    assert len(calls) == rep.truncation["cells"] + 1 < 13
 
 
 def test_gamma_numeric_rejects_negative_n():
