@@ -538,18 +538,19 @@ def _cells(cs: CompactSet, m: int) -> tuple[np.ndarray, np.ndarray, list[tuple[_
 
 def _energy_matrix(located: list[tuple[_ParamPiece, np.ndarray]], lengths: np.ndarray) -> np.ndarray:
     blocks: list[np.ndarray] = [pc.points(mid) for pc, mid in located]
-    z = np.concatenate(blocks)
-    n = len(z)
-    with np.errstate(divide="ignore"):
-        K = np.log(np.abs(z[:, None] - z[None, :]))
-    # same-piece sub-blocks via chord logs (the linear subtraction above is
-    # fine across pieces but loses digits for near-coincident same-circle points)
-    offset = 0
-    for pc, mid in located:
-        cnt = len(mid)
-        sl = slice(offset, offset + cnt)
-        K[sl, sl] = pc.chord_log(mid[:, None], mid[None, :])
-        offset += cnt
+    offsets = np.cumsum([0] + [len(z) for z in blocks])
+    K = np.empty((offsets[-1], offsets[-1]))
+    # same-piece blocks by chord logs, the others by the linear subtraction,
+    # which is fine across pieces but loses digits for near-coincident
+    # same-circle points
+    for a, ((pc, mid), za) in enumerate(zip(located, blocks)):
+        for b, zb in enumerate(blocks):
+            block = (slice(offsets[a], offsets[a + 1]), slice(offsets[b], offsets[b + 1]))
+            if a == b:
+                K[block] = pc.chord_log(mid[:, None], mid[None, :])
+            else:
+                with np.errstate(divide="ignore"):
+                    K[block] = np.log(np.abs(za[:, None] - zb[None, :]))
     # diagonal: self-energy of the uniform measure on one flat cell of length l,
     # which is log(l) - 3/2; this vanishes from the total as m grows
     np.fill_diagonal(K, np.log(lengths) - 1.5)
@@ -607,20 +608,26 @@ def _solve_weights(K: np.ndarray, seed: int) -> tuple[np.ndarray, float]:
     return w, gap
 
 
-def _equilibrium_once(cs: CompactSet, m: int, seed: int) -> tuple[float, DiscreteMeasure]:
+def _measure(located: list[tuple[_ParamPiece, np.ndarray]], w: np.ndarray) -> DiscreteMeasure:
+    z = np.concatenate([pc.points(mid) for pc, mid in located])
+    return DiscreteMeasure(points=tuple(complex(v) for v in z), weights=tuple(float(x) for x in w))
+
+
+def _equilibrium_once(cs: CompactSet, m: int, seed: int) -> tuple[float, list, np.ndarray]:
+    """(energy, located cells, weights) of the solve on m cells.  Only a
+    stalled ascent builds the DiscreteMeasure here, for its EquilibriumError;
+    otherwise _measure builds it, for the one solve that keeps it."""
     mids, lengths, located = _cells(cs, m)
     K = _energy_matrix(located, lengths)
     w, gap = _solve_weights(K, seed)
-    z = np.concatenate([pc.points(mid) for pc, mid in located])
     energy = float(w @ K @ w)
-    measure = DiscreteMeasure(points=tuple(complex(v) for v in z), weights=tuple(float(x) for x in w))
     if gap > 1e-6 * (1.0 + abs(energy)):
         raise EquilibriumError(
             f"simplex ascent stalled with optimality gap {gap:.3e} after the iteration budget",
-            measure,
+            _measure(located, w),
             gap,
         )
-    return energy, measure
+    return energy, located, w
 
 
 def equilibrium_energy(cs: SetLike, m: int, seed: int = 0) -> tuple[EnergyValue, DiscreteMeasure]:
@@ -629,15 +636,16 @@ def equilibrium_energy(cs: SetLike, m: int, seed: int = 0) -> tuple[EnergyValue,
     The set is cut into m midpoint cells; cell interactions use midpoint
     log distances and each cell carries its own uniform self-energy on the
     diagonal.  The declared tolerance compares against a half-resolution
-    solve, so callers can judge the discretization error without guessing.
+    solve, so callers can judge the discretization error without guessing;
+    only its energy is kept.
     """
     cs = _as_set(cs)
     if cs.is_polar:
         raise ValueError("polar set rejected: no equilibrium measure exists")
     if m < 8:
         raise ValueError("need m >= 8 support candidates")
-    energy, measure = _equilibrium_once(cs, m, seed)
-    coarse_energy, _ = _equilibrium_once(cs, max(8, m // 2), seed)
+    energy, located, w = _equilibrium_once(cs, m, seed)
+    coarse_energy = _equilibrium_once(cs, max(8, m // 2), seed)[0]
     tol = 2.0 * abs(energy - coarse_energy) + 1e-3
-    return EnergyValue(value=energy, tolerance=tol), measure
+    return EnergyValue(value=energy, tolerance=tol), _measure(located, w)
 

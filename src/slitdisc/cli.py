@@ -40,7 +40,7 @@ from .geometry import (
 )
 from .numerics import parse_number
 from .qcmap import QCParams, beltrami, counterexample_chain, qc_constant, transport_params
-from .wiener import GammaQuadrature, gamma_at_origin, gamma_numeric, threshold_report
+from .wiener import GammaQuadrature, gamma_at_origin, gamma_numeric, phase_diagram, threshold_report
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +245,23 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_phase_diagram(args) -> tuple[dict, str | None]:
+    """The threshold classification and both ratios over an r-major (r, t)
+    grid of steps points an axis, from wiener.phase_diagram: one row at a
+    time, two bisections a row.  Rational bounds keep the grid rational and
+    every comparison exact."""
     r_min, r_max = parse_number(args.r_min), parse_number(args.r_max)
     t_min, t_max = parse_number(args.t_min), parse_number(args.t_max)
     if not (0 < r_min <= r_max < 1 and 0 < t_min <= t_max < Fraction(1, 2)):
         raise ValueError("grid bounds must satisfy 0 < r < 1 and 0 < t < 1/2")
-    rows = []
+    for option, steps in (("--r-steps", args.r_steps), ("--t-steps", args.t_steps)):
+        if steps < 1:
+            raise ValueError(f"{option} must be at least 1, got {steps}")
+    rs = [r_min + (r_max - r_min) * Fraction(i, max(args.r_steps - 1, 1)) for i in range(args.r_steps)]
     ts = [t_min + (t_max - t_min) * Fraction(j, max(args.t_steps - 1, 1)) for j in range(args.t_steps)]
-    for i in range(args.r_steps):
-        r = r_min + (r_max - r_min) * Fraction(i, max(args.r_steps - 1, 1))
-        for t in ts:
-            rep = threshold_report(ParamRT(r, t))
-            rows.append(
-                {
-                    "r": r,
-                    "t": t,
-                    "verdict": rep.classification.value,
-                    "ratio_n0": rep.ratio_n0,
-                    "ratio_n1": rep.ratio_n1,
-                }
-            )
+    rows = [
+        {"r": r, "t": t, "verdict": cls.value, "ratio_n0": q0, "ratio_n1": q1}
+        for r, t, cls, q0, q1 in phase_diagram(rs, ts)
+    ]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

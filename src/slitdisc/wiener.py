@@ -10,8 +10,10 @@ parameters are rational); quadrature only ever brackets finite windows.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +33,7 @@ from .geometry import (
     _clip_obstacle,
     _wrap_angle,
 )
-from .numerics import LOG2, GuardedComparison, exp_or_inf, le_guarded, log_fraction, log_real, power
+from .numerics import LOG2, GuardedComparison, Real, exp_or_inf, is_exact, le_guarded, log_fraction, log_real, power
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -157,6 +159,15 @@ class ThresholdReport:
     flags: tuple[str, ...]
 
 
+def _classification(exhaustive: bool, not_complete: bool) -> Classification:
+    """The threshold rule, from the results of r^2 <= t and t <= r^4."""
+    if exhaustive:
+        return Classification.EXHAUSTIVE_HENCE_COMPLETE
+    if not_complete:
+        return Classification.NOT_COMPLETE
+    return Classification.UNKNOWN
+
+
 def threshold_report(params: ParamRT) -> ThresholdReport:
     """Threshold classification of the (r, t) plane with the evidence attached.
 
@@ -166,7 +177,8 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
     rational inputs are compared exactly.  The two tests and both ratios
     come from _ratio_test at n = 0 and n = 1, the very test gamma_at_origin
     decides divergence by, so the classifier and gamma^(n)(0) cannot
-    disagree; t <= r^4 takes the same r^4.
+    disagree; t <= r^4 takes the same r^4.  phase_diagram gives the
+    classification and both ratios of a whole grid at once.
     """
     ratio_n0, _, exhaustive, _ = _ratio_test(params, 0)
     ratio_n1, _, ratio_one, r4 = _ratio_test(params, 1)
@@ -174,14 +186,9 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
     flags = list(params.flags())
     if exhaustive.boundary_warning or not_complete.boundary_warning:
         flags.append(FLAG_GUARD_BAND)
-    if exhaustive.result:
-        cls = Classification.EXHAUSTIVE_HENCE_COMPLETE
-    elif not_complete.result:
-        cls = Classification.NOT_COMPLETE
-        if ratio_one.result:  # t == r^4 up to the guard band
-            flags.append(FLAG_RATIO_ONE)
-    else:
-        cls = Classification.UNKNOWN
+    cls = _classification(exhaustive.result, not_complete.result)
+    if cls is Classification.NOT_COMPLETE and ratio_one.result:  # t == r^4 up to the guard band
+        flags.append(FLAG_RATIO_ONE)
     return ThresholdReport(
         classification=cls,
         ratio_n0=ratio_n0,
@@ -190,6 +197,48 @@ def threshold_report(params: ParamRT) -> ThresholdReport:
         not_complete_test=not_complete,
         flags=tuple(flags),
     )
+
+
+def phase_diagram(rs: Sequence[Real], ts: Sequence[Real]) -> list[tuple[Real, Real, Classification, object, object]]:
+    """[(r, t, classification, ratio_n0, ratio_n1)] of threshold_report at
+    every (r, t) of the grid rs x ts, r-major.  ts must be ascending, and
+    all exact or all floats.
+
+    One row r at a time.  r^2 and r^4 are formed once, with the power
+    _ratio_test takes, and so are Fraction(r)^2 and Fraction(r)^4 when r is
+    a float.  On such a column both guarded tests, r^2 <= t and t <= r^4,
+    are monotone in t, guard band included.  (On a mixed column they are
+    not: an exact t may fall below r^2 while a float t under it ties.)  So
+    two bisections of the column find where each test changes, and
+    _classification turns the two results into the verdict.  Each cell
+    forms its ratios from the row's powers and the column's Fraction(t),
+    taken once: t / r^p when r and t are exact, else the float of the
+    exact ratio of their values, as _ratio_test forms them.  Before any
+    cell, every r and t is checked as ParamRT checks it, and of those
+    failures the first a cell-by-cell sweep would meet is raised.
+    """
+    kinds = {is_exact(t) for t in ts}
+    if len(kinds) > 1 or any(b < a for a, b in zip(ts, ts[1:])):
+        raise ValueError("the t column of a phase diagram must be ascending, and all exact or all floats")
+    if rs and ts:
+        for t in ts:
+            ParamRT(rs[0], t)
+        for r in rs[1:]:
+            ParamRT(r, ts[0])
+    column = [(t, Fraction(t)) for t in ts]
+    cells = []
+    for r in rs:
+        r2, r4 = power(r, 2), power(r, 4)
+        exact = is_exact(r) and kinds == {True}
+        exact_r2, exact_r4 = (r2, r4) if is_exact(r) else (Fraction(r) ** 2, Fraction(r) ** 4)
+        exhaustive_from = bisect.bisect_left(ts, True, key=lambda t: le_guarded(r2, t).result)
+        not_complete_to = bisect.bisect_left(ts, True, key=lambda t: not le_guarded(t, r4).result)
+        for j, (t, exact_t) in enumerate(column):
+            q0, q1 = exact_t / exact_r2, exact_t / exact_r4
+            if not exact:
+                q0, q1 = float(q0), float(q1)
+            cells.append((r, t, _classification(j >= exhaustive_from, j < not_complete_to), q0, q1))
+    return cells
 
 
 def classify_domain(params: ParamRT) -> Classification:

@@ -517,6 +517,37 @@ def test_equilibrium_segment():
     assert w[0] > w[len(w) // 2]
 
 
+def _energy_matrix_full_pass(located, lengths):
+    """The energy matrix as first built: log|z_i - z_j| over all m^2 pairs,
+    then every same-piece block overwritten by chord logs."""
+    z = np.concatenate([pc.points(mid) for pc, mid in located])
+    with np.errstate(divide="ignore"):
+        K = np.log(np.abs(z[:, None] - z[None, :]))
+    offset = 0
+    for pc, mid in located:
+        block = slice(offset, offset + len(mid))
+        K[block, block] = pc.chord_log(mid[:, None], mid[None, :])
+        offset += len(mid)
+    np.fill_diagonal(K, np.log(lengths) - 1.5)
+    return K
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        SegmentObstacle(-1 + 0j, 1 + 0j),
+        arc(1.0, 0.0, math.pi / 4),
+        circle(2.0),
+        CompactSet((DiscObstacle(-2 + 0j, 0.5), SegmentObstacle(1 + 0j, 2 + 1j), arc(3.0, math.pi / 2, 0.5))),
+    ],
+    ids=["segment", "arc", "circle", "disc+segment+arc"],
+)
+@pytest.mark.parametrize("m", [16, 101])
+def test_energy_matrix_is_the_full_pass(cs, m):
+    _, lengths, located = capacity._cells(capacity._as_set(cs), m)
+    assert np.array_equal(capacity._energy_matrix(located, lengths), _energy_matrix_full_pass(located, lengths))
+
+
 def test_equilibrium_rejections():
     with pytest.raises(ValueError):
         equilibrium_energy(circle(1.0), 4)

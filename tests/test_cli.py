@@ -19,7 +19,10 @@ from shell_reference import sandwich_sums
 
 from slitdisc import cli
 from slitdisc.cli import build_parser, main, to_jsonable
+from slitdisc.geometry import ParamRT
+from slitdisc.numerics import parse_number
 from slitdisc.qcmap import BeltramiData
+from slitdisc.wiener import threshold_report
 
 
 def run_json(capsys, argv):
@@ -167,6 +170,64 @@ def test_phase_diagram_csv_exact_cells(capsys):
     assert rows[1][3] == "1"
     # the middle grid point is exactly the rational midpoint
     assert rows[5][0] == "1/5"
+
+
+def _cmd_phase_diagram_per_cell(args):
+    """The sweep as it ran before the row path, one threshold_report a cell:
+    the reference the row path must match byte for byte."""
+    r_min, r_max = parse_number(args.r_min), parse_number(args.r_max)
+    t_min, t_max = parse_number(args.t_min), parse_number(args.t_max)
+    if not (0 < r_min <= r_max < 1 and 0 < t_min <= t_max < Fraction(1, 2)):
+        raise ValueError("grid bounds must satisfy 0 < r < 1 and 0 < t < 1/2")
+    rows = []
+    ts = [t_min + (t_max - t_min) * Fraction(j, max(args.t_steps - 1, 1)) for j in range(args.t_steps)]
+    for i in range(args.r_steps):
+        r = r_min + (r_max - r_min) * Fraction(i, max(args.r_steps - 1, 1))
+        for t in ts:
+            rep = threshold_report(ParamRT(r, t))
+            rows.append(
+                {"r": r, "t": t, "verdict": rep.classification.value, "ratio_n0": rep.ratio_n0, "ratio_n1": rep.ratio_n1}
+            )
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["r", "t", "verdict", "ratio_n0", "ratio_n1"])
+        for row in rows:
+            writer.writerow([cli._csv_cell(row[k]) for k in ("r", "t", "verdict", "ratio_n0", "ratio_n1")])
+        return {"rows": rows}, buf.getvalue()
+    return {"rows": rows}, None
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [],
+        ["--r-min", "0.05", "--r-max", "0.45", "--t-min", "0.01", "--t-max", "0.49", "--r-steps", "21", "--t-steps", "31"],
+        ["--r-min", "1/10", "--r-max", "0.3", "--t-min", "0.0001", "--t-max", "9/100", "--r-steps", "21", "--t-steps", "31"],
+        ["--r-min", "0.1", "--r-max", "0.3", "--t-min", "1/10000", "--t-max", "9/100", "--r-steps", "21", "--t-steps", "31"],
+    ],
+    ids=["default-50x50", "float", "mixed-float-t", "mixed-exact-t"],
+)
+def test_phase_diagram_matches_per_cell_sweep(capsys, monkeypatch, grid, fmt):
+    argv = ["phase-diagram", "--format", fmt, *grid]
+
+    def record():
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return out if fmt == "csv" else _strip_timestamp(out)
+
+    rows = record()
+    monkeypatch.setattr(cli, "cmd_phase_diagram", _cmd_phase_diagram_per_cell)
+    assert record() == rows
+
+
+@pytest.mark.parametrize("option, steps", [("--r-steps", "0"), ("--t-steps", "-3")])
+def test_phase_diagram_rejects_step_counts_below_one(capsys, option, steps):
+    code = main(["phase-diagram", option, steps])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {option} must be at least 1, got {steps}\n"
 
 
 def test_qc_record(capsys):
@@ -484,6 +545,16 @@ def test_readme_records_are_the_stdlib_encoding(capsys, monkeypatch):
             assert not records, argv
         else:
             assert len(records) == 1 and out == dumps(records[0]) + "\n", argv
+
+
+def test_readme_csv_excerpt_is_the_leading_output(capsys):
+    # the text block after the phase-diagram command: its lines before "..."
+    excerpt = re.search(r"Rational inputs are parsed exactly.*?```text\n(.*?)```", README.read_text(), re.S).group(1)
+    head = excerpt.split("...\n")[0].splitlines()
+    (argv,) = [argv for argv in readme_command_lines() if argv[0] == "phase-diagram"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(head) >= 3 and out[: len(head)] == head
 
 
 # argvs that together reach every option of each subcommand

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slitdisc.numerics import (
     exact_pow,
@@ -67,3 +70,26 @@ def test_pow_maybe_exact_fallback():
     got = pow_maybe_exact(Fraction(1, 2), Fraction(1, 3))
     assert isinstance(got, float) and got == pytest.approx(0.5 ** (1 / 3), rel=1e-15)
 
+
+def _as(kind, x):
+    return Fraction(x) if kind == "exact" else float(x)
+
+
+@given(
+    a=st.floats(1e-300, 0.5),
+    kinds=st.tuples(st.sampled_from(["exact", "float"]), st.sampled_from(["exact", "float"])),
+    rel=st.lists(st.floats(-3e-15, 3e-15), min_size=1, max_size=20),
+    ulps=st.lists(st.integers(-12, 12), max_size=10),
+)
+def test_le_guarded_is_monotone_in_t(a, kinds, rel, ulps):
+    # the phase diagram bisects an ascending t column on both tests; near
+    # and inside the 1e-15 guard band around a, for exact, float and mixed
+    # pairs, a <= t may only turn True and t <= a only turn False
+    a_kind, t_kind = kinds
+    pivot = _as(a_kind, a)
+    near = [a * (1.0 + x) for x in rel] + [a + k * math.ulp(a) for k in ulps]
+    ts = sorted(_as(t_kind, t) for t in near + [a] if t > 0.0)
+    above = [le_guarded(pivot, t).result for t in ts]
+    below = [le_guarded(t, pivot).result for t in ts]
+    assert above == sorted(above)
+    assert below == sorted(below, reverse=True)

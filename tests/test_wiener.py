@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from shell_reference import sandwich_sums
 
 from slitdisc.capacity import log_capacity, union_log_capacity
+from slitdisc.numerics import power
 from slitdisc.geometry import (
     ArcObstacle,
     CompactSet,
@@ -48,6 +50,7 @@ from slitdisc.wiener import (
     gamma_numeric,
     log_g,
     log_tail_g,
+    phase_diagram,
     shell_term_log_bounds,
     threshold_report,
 )
@@ -292,6 +295,113 @@ def test_threshold_report_is_fraction_arithmetic(data, r):
     assert rep.ratio_n0 == t / r**2 and type(rep.ratio_n0) is Fraction
     assert rep.ratio_n1 == t / r**4 and type(rep.ratio_n1) is Fraction
     assert (FLAG_RATIO_ONE in rep.flags) == (t == r**4)
+
+
+# ---------------------------------------------------------------------------
+# the phase diagram, one row at a time
+
+
+def _grid(lo, hi, steps):
+    """The phase-diagram command's grid of steps points from lo to hi."""
+    return [lo + (hi - lo) * F(i, max(steps - 1, 1)) for i in range(steps)]
+
+
+def _assert_cells_are_threshold_reports(rs, ts):
+    try:
+        for r in rs:
+            for t in ts:
+                threshold_report(ParamRT(r, t))
+    except ValueError as exc:  # a bad r or t: the first one a cell-by-cell sweep meets
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            phase_diagram(rs, ts)
+        return
+    except OverflowError:  # a float ratio past the double range, unless a later r or t is bad
+        with pytest.raises((OverflowError, ValueError)):
+            phase_diagram(rs, ts)
+        return
+    cells = phase_diagram(rs, ts)
+    assert [(r, t) for r, t, *_ in cells] == [(r, t) for r in rs for t in ts]
+    for r, t, cls, q0, q1 in cells:
+        rep = threshold_report(ParamRT(r, t))
+        assert cls is rep.classification, (r, t)
+        assert (type(q0), q0) == (type(rep.ratio_n0), rep.ratio_n0), (r, t)
+        assert (type(q1), q1) == (type(rep.ratio_n1), rep.ratio_n1), (r, t)
+
+
+def _bound(lo, hi):
+    """An exact or a float grid bound strictly inside (lo, hi)."""
+    return st.one_of(
+        st.fractions(lo, hi, max_denominator=1000), st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    ).filter(lambda x: lo < x < hi)
+
+
+@settings(deadline=None)
+@given(
+    r_bounds=st.lists(_bound(0, 1), min_size=2, max_size=2),
+    t_bounds=st.lists(_bound(0, F(1, 2)), min_size=2, max_size=2),
+    r_steps=st.integers(1, 5),
+    t_steps=st.integers(1, 8),
+    ulps=st.integers(0, 2),
+    on_thresholds=st.booleans(),
+)
+def test_phase_diagram_cells_are_threshold_reports(r_bounds, t_bounds, r_steps, t_steps, ulps, on_thresholds):
+    rs, ts = _grid(*sorted(r_bounds), r_steps), _grid(*sorted(t_bounds), t_steps)
+    if on_thresholds:
+        # cells on t = r^2 and t = r^4, and for floats the ulps around them,
+        # inside the guard band
+        kind = F if isinstance(ts[0], F) else float
+        edges = [kind(power(r, p)) for r in rs for p in (2, 4)]
+        if kind is float:
+            edges += [x + k * math.ulp(x) for x in edges for k in range(-ulps, ulps + 1)]
+        ts = sorted({t for t in ts + edges if 0 < t < F(1, 2)})
+    _assert_cells_are_threshold_reports(rs, ts)
+
+
+@pytest.mark.parametrize(
+    "rs, ts",
+    [
+        # float cells inside the guard band: 0.1**2 is 0.010000000000000002
+        ([0.1, F(1, 10)], [0.0001, 0.01 - 1e-17, 0.01, 0.010000000000000002, 0.0100000000000001, 0.02]),
+        ([0.1], [F(1, 10000), F(1, 100), F(2, 100)]),
+        # exact cells on t = r^4 and t = r^2
+        ([F(1, 5), F(1, 4)], [F(1, 625), F(1, 256), F(1, 100), F(1, 25), F(1, 16)]),
+        # one-step grids
+        ([F(1, 5)], [F(1, 25)]),
+        ([0.2], [0.04]),
+        ([F(1, 20)], _grid(F(1, 100), F(49, 100), 50)),
+        ([], [F(1, 4)]),
+        ([F(1, 4)], []),
+    ],
+)
+def test_phase_diagram_cells_are_threshold_reports_fixed(rs, ts):
+    _assert_cells_are_threshold_reports(rs, ts)
+
+
+def test_phase_diagram_rejects_what_bisection_cannot_take():
+    with pytest.raises(ValueError, match="ascending"):
+        phase_diagram([F(1, 5)], [F(1, 4), F(1, 8)])
+    with pytest.raises(ValueError, match="all exact or all floats"):
+        phase_diagram([F(1, 5)], [F(1, 100), 0.02])
+
+
+@pytest.mark.parametrize(
+    "rs, ts",
+    [
+        ([F(1, 2), F(1)], [F(1, 4), F(1, 2)]),
+        ([F(1, 2), F(1)], [F(1, 4)]),
+        ([F(1), F(1, 2)], [F(1, 2)]),
+        ([0.5, 0.25], [0.1, 0.5, 0.7]),
+    ],
+)
+def test_phase_diagram_rejects_the_first_bad_cell(rs, ts):
+    # the error is the first one a cell-by-cell sweep meets
+    with pytest.raises(ValueError) as want:
+        for r in rs:
+            for t in ts:
+                ParamRT(r, t)
+    with pytest.raises(ValueError) as got:
+        phase_diagram(rs, ts)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
