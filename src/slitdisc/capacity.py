@@ -4,17 +4,23 @@ Closed forms (circle R -> R, arc -> R sin(w/2), segment L -> L/4, point -> 0)
 are the exact reference path and the only one that survives the family's
 underflowing arc widths.  The Fekete oracle maximizes the pairwise log-distance
 sum of n points over the set's parameterization and converts the optimum to a
-transfinite-diameter estimate.  It moves every point at once by a safeguarded
-diagonal-Newton ascent: each step is clipped to half the gap to each
-neighbour and halved until the energy does not fall, so the parameters of
-each piece stay sorted.  On one arc, circle or segment the energy is concave
-on the ordered cone, so one start reaches the unique optimum (the
-Gauss-Lobatto points on a segment); a union of several pieces runs _N_STARTS
-starts and keeps the first of the highest energy.  The starts ascend
-together as the rows of one array per piece: every sweep steps, halves and
-accepts all live starts at once, a converged start is frozen, and each start
-takes the same floating-point operations it would take alone.  `sweeps`
-counts the kept start's own iterations.  The equilibrium routine discretizes
+transfinite-diameter estimate.  It moves every point at once and keeps the
+parameters of each piece sorted.  On one arc, circle or segment the energy
+is concave on the ordered cone, so one start reaches the unique optimum (the
+Gauss-Lobatto points on a segment), and each sweep takes the exact Newton
+step: the Hessian is minus the graph Laplacian of the pair weights
+-phi''(s_i - s_j), so the step is one batched linear solve, scaled to keep
+every point within half the gap to its neighbours, with the end points
+projected onto the piece.  A sweep whose Newton step gains nothing within
+_NEWTON_HALVINGS halvings takes the diagonal step.  A union of several
+pieces, whose Hessian is indefinite, runs _N_STARTS starts of the
+safeguarded diagonal-Newton ascent and keeps the first of the highest
+energy: each step is clipped to half the gap to each neighbour and halved
+until the energy does not fall.  The starts ascend together as the rows of
+one array per piece: every sweep steps, halves and accepts all live starts
+at once, a converged start is frozen, and each start takes the same
+floating-point operations it would take alone.  `sweeps` counts the kept
+start's own iterations.  The equilibrium routine discretizes
 the energy functional over midpoint cells.
 All distance logs inside one circle or segment come from chord formulas so
 near-coincident points keep finite logs.
@@ -216,13 +222,17 @@ class _ParamPiece:
         direction = (self.z1 - self.z0) / abs(self.z1 - self.z0)
         return self.z0 + s * direction
 
-    def chord_log(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """log distance between points of THIS piece at parameters s and t."""
+    def chord_log(self, s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """log distance between points of THIS piece at parameters s and t,
+        written into `out` when given, with no temporary of that size."""
+        d = np.subtract(s, t, out=out)
         if self.kind == "arc":
-            with np.errstate(divide="ignore"):
-                return math.log(2.0 * self.radius) + np.log(np.abs(np.sin(0.5 * (s - t))))
+            np.sin(np.multiply(d, 0.5, out=d), out=d)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(s - t))
+            np.log(np.abs(d, out=d), out=d)
+        if self.kind == "arc":
+            d += math.log(2.0 * self.radius)
+        return d
 
     def derivatives(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First and second derivatives of points(s) in s."""
@@ -232,10 +242,12 @@ class _ParamPiece:
         direction = (self.z1 - self.z0) / abs(self.z1 - self.z0)
         return np.full(s.shape, direction), np.zeros(s.shape, dtype=complex)
 
-    def chord_slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian diagonal, in each parameter, of the sum of
-        chord logs between the points of THIS piece at parameters s (one
-        configuration per row of a 2-D s)."""
+    def chord_terms(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First and second derivatives phi'(s_i - s_j), phi''(s_i - s_j) of the
+        chord log phi of every pair of points of THIS piece at parameters s,
+        as (..., n, n) arrays with a zero diagonal (one configuration per row
+        of a 2-D s).  phi'' < 0: -phi'' is 1/d^2 on a segment and
+        1/(4 sin^2(d/2)) on an arc."""
         d = s[..., :, None] - s[..., None, :]
         diag = np.arange(s.shape[-1])
         d[..., diag, diag] = 1.0  # any nonzero value; the diagonal terms are dropped
@@ -246,6 +258,12 @@ class _ParamPiece:
             h = -(g**2)
         g[..., diag, diag] = 0.0
         h[..., diag, diag] = 0.0
+        return g, h
+
+    def chord_slopes(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian diagonal, in each parameter, of the sum of
+        chord logs between the points of THIS piece at parameters s."""
+        g, h = self.chord_terms(s)
         return g.sum(axis=-1), h.sum(axis=-1)
 
 
@@ -335,6 +353,8 @@ SWEEP_GAIN_STOP = 1e-10
 _MAX_SWEEPS = 600
 # 53 halvings shrink a step by the 2^-53 of double precision
 _MAX_HALVINGS = 53
+# halvings of a one-piece Newton step before the sweep falls back to the diagonal step
+_NEWTON_HALVINGS = 4
 _N_STARTS = 8
 
 
@@ -397,25 +417,60 @@ def _steps(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) -> _Rows:
     return steps
 
 
+def _newton_steps(pc: _ParamPiece, th: np.ndarray) -> np.ndarray:
+    """Exact Newton step of every start on the one piece pc.  The Hessian of
+    sum_{i<j} phi(s_i - s_j) is -L, with L the Laplacian of the pair weights
+    w_ij = -phi''(s_i - s_j) > 0, so the step solves L d = g, one batched solve
+    for all starts.  L is positive semidefinite; 1e-12 of its largest diagonal
+    entry on the diagonal lifts the null mode (1, ..., 1), which the gradient
+    is orthogonal to.  An end point resting on lo / hi and pulled outward is
+    held there.  One factor per start scales the step so that no point moves
+    past half the gap to a neighbour; _ascend projects the end points onto
+    lo / hi instead."""
+    g_pairs, L = pc.chord_terms(th)  # off the diagonal, L_ij = phi'' = -w_ij
+    g = g_pairs.sum(axis=-1)
+    starts, n = th.shape
+    diag = np.einsum("kii->ki", L)  # a writeable view of each start's diagonal
+    diag -= L.sum(axis=-1)
+    diag += 1e-12 * diag.max(axis=1, keepdims=True)
+    room = np.full((starts, n + 1), math.inf)
+    room[:, 1:-1] = 0.5 * (th[:, 1:] - th[:, :-1])
+    if pc.periodic:
+        room[:, 0] = room[:, -1] = 0.5 * (th[:, 0] + 2.0 * math.pi - th[:, -1])
+    else:
+        # the row of a held point keeps its diagonal only, so its step is 0
+        held = (th[:, 0] <= pc.lo) & (g[:, 0] < 0.0)
+        L[held, 0, 1:] = g[held, 0] = 0.0
+        held = (th[:, -1] >= pc.hi) & (g[:, -1] > 0.0)
+        L[held, -1, :-1] = g[held, -1] = 0.0
+    step = np.linalg.solve(L, g[:, :, None])[:, :, 0]
+    reach = np.where(step < 0.0, room[:, :-1], room[:, 1:])
+    with np.errstate(divide="ignore"):
+        scale = np.min(reach / np.abs(step), axis=1, keepdims=True)
+    return step * np.minimum(scale, 1.0)
+
+
 def _ascend(pieces: list[_ParamPiece], params: _Rows) -> tuple[_Rows, _Rows, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal-Newton sweeps of all live starts at once.  A start halves its step
-    until its energy does not fall, else stays put and gains 0; it is frozen once
-    a step gains less than SWEEP_GAIN_STOP or after _MAX_SWEEPS sweeps."""
+    """Sweeps of all live starts at once.  On one piece a start first tries the
+    exact Newton step, halved at most _NEWTON_HALVINGS times; a start it does
+    not raise, and every start of a union, takes the diagonal-Newton step.
+    That step is halved until the energy does not fall, else the start stays
+    put and gains 0.  A start is frozen once a sweep gains less than
+    SWEEP_GAIN_STOP or after _MAX_SWEEPS sweeps."""
     positions, energy = _place(pieces, params)
     sweeps = np.zeros(len(energy), dtype=int)
     gain = np.full(len(energy), math.inf)
     live = np.arange(len(energy))
-    while True:
-        live = live[(gain[live] >= SWEEP_GAIN_STOP) & (sweeps[live] < _MAX_SWEEPS)]
-        if not len(live):
-            return params, positions, energy, sweeps, gain
-        old, before = [th[live] for th in params], energy[live]
-        steps = _steps(pieces, old, [z[live] for z in positions])
-        sweeps[live] += 1
-        gain[live] = 0.0
-        trying = np.arange(len(live))  # rows of old still halving their step
-        for _ in range(_MAX_HALVINGS):
+
+    def halve(trying: np.ndarray, steps: _Rows, halvings: int, project: bool = False) -> np.ndarray:
+        """Step the rows `trying` of this sweep's old, halving each row's step
+        until its energy does not fall, at most `halvings` times, and keep
+        what rose.  With project, the trial points of a non-periodic piece
+        are clipped to [lo, hi].  Returns the rows of old that no step raised."""
+        for _ in range(halvings):
             trial = [th[trying] + d for th, d in zip(old, steps)]
+            if project:
+                trial = [t if pc.periodic else np.clip(t, pc.lo, pc.hi) for pc, t in zip(pieces, trial)]
             trial_positions, trial_energy = _place(pieces, trial)
             up = trial_energy >= before[trying]
             rows = live[trying[up]]
@@ -427,6 +482,22 @@ def _ascend(pieces: list[_ParamPiece], params: _Rows) -> tuple[_Rows, _Rows, np.
             if not len(trying):
                 break
             steps = [0.5 * d[~up] for d in steps]
+        return trying
+
+    while True:
+        live = live[(gain[live] >= SWEEP_GAIN_STOP) & (sweeps[live] < _MAX_SWEEPS)]
+        if not len(live):
+            return params, positions, energy, sweeps, gain
+        old, before = [th[live] for th in params], energy[live]
+        sweeps[live] += 1
+        gain[live] = 0.0
+        trying = np.arange(len(live))  # rows of old no step has raised yet
+        if len(pieces) == 1:
+            trying = halve(trying, [_newton_steps(pieces[0], old[0])], _NEWTON_HALVINGS, project=True)
+            if not len(trying):
+                continue
+        # a row no step has raised still holds its old positions
+        halve(trying, _steps(pieces, [th[trying] for th in old], [z[live[trying]] for z in positions]), _MAX_HALVINGS)
 
 
 def _max_gradient(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) -> float:
@@ -540,14 +611,14 @@ def _energy_matrix(located: list[tuple[_ParamPiece, np.ndarray]], lengths: np.nd
     blocks: list[np.ndarray] = [pc.points(mid) for pc, mid in located]
     offsets = np.cumsum([0] + [len(z) for z in blocks])
     K = np.empty((offsets[-1], offsets[-1]))
-    # same-piece blocks by chord logs, the others by the linear subtraction,
-    # which is fine across pieces but loses digits for near-coincident
-    # same-circle points
+    # same-piece blocks by chord logs, written straight into their view of K,
+    # the others by the linear subtraction, which is fine across pieces but
+    # loses digits for near-coincident same-circle points
     for a, ((pc, mid), za) in enumerate(zip(located, blocks)):
         for b, zb in enumerate(blocks):
             block = (slice(offsets[a], offsets[a + 1]), slice(offsets[b], offsets[b + 1]))
             if a == b:
-                K[block] = pc.chord_log(mid[:, None], mid[None, :])
+                pc.chord_log(mid[:, None], mid[None, :], out=K[block])
             else:
                 with np.errstate(divide="ignore"):
                     K[block] = np.log(np.abs(za[:, None] - zb[None, :]))

@@ -38,6 +38,15 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def float_or_inf(q: Fraction) -> float:
+    """The correctly rounded float of q, with +-inf only past the double range
+    (float(q) raises OverflowError there; it gives 0.0 on underflow)."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def log_real(x: Real) -> float:
     """log of a positive real, also one below the double range: math.log of
     the float where that is a normal double, else log_fraction."""

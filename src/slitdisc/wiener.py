@@ -33,7 +33,7 @@ from .geometry import (
     _clip_obstacle,
     _wrap_angle,
 )
-from .numerics import LOG2, GuardedComparison, Real, exp_or_inf, is_exact, le_guarded, log_fraction, log_real, power
+from .numerics import LOG2, GuardedComparison, Real, exp_or_inf, float_or_inf, is_exact, le_guarded, log_fraction, log_real, power
 
 INF = float("inf")
 NEG_INF = float("-inf")
@@ -135,17 +135,18 @@ def shell_term_log_bounds(params: ParamRT, n: int, k: int) -> tuple[float, float
 def _ratio_test(params: ParamRT, n: int) -> tuple[object, Fraction, GuardedComparison, object]:
     """(the ratio shown, the exact q = t / r^(2n+2) of the parameters' values,
     the guarded test q >= 1 as r^(2n+2) <= t, r^(2n+2) = power(r, 2n+2)).
-    The ratio shown is q when both parameters are exact, else float(q), so
-    it agrees with the test up to the guard band."""
+    The ratio shown is q when both parameters are exact, else the float
+    nearest to q (inf past the double range), so it agrees with the test up
+    to the guard band."""
     p = 2 * n + 2
     r_p = power(params.r, p)
     q = params.t / r_p if params.is_exact else Fraction(params.t) / Fraction(params.r) ** p
-    return q if params.is_exact else float(q), q, le_guarded(r_p, params.t), r_p
+    return q if params.is_exact else float_or_inf(q), q, le_guarded(r_p, params.t), r_p
 
 
 def divergence_ratio(params: ParamRT, n: int):
     """t / r^(2n+2); Fraction when the parameters are exact, else the float
-    nearest to the exact ratio of their values."""
+    nearest to the exact ratio of their values (inf past the double range)."""
     return _ratio_test(params, n)[0]
 
 
@@ -236,7 +237,7 @@ def phase_diagram(rs: Sequence[Real], ts: Sequence[Real]) -> list[tuple[Real, Re
         for j, (t, exact_t) in enumerate(column):
             q0, q1 = exact_t / exact_r2, exact_t / exact_r4
             if not exact:
-                q0, q1 = float(q0), float(q1)
+                q0, q1 = float_or_inf(q0), float_or_inf(q1)
             cells.append((r, t, _classification(j >= exhaustive_from, j < not_complete_to), q0, q1))
     return cells
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -277,7 +278,8 @@ def test_fekete_segment_is_gauss_lobatto_n64():
     i, j = np.triu_indices(n, k=1)
     want = float(np.sum(np.log(np.abs(x[i] - x[j]))))
     res = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), n, seed=0)
-    assert res.n_starts == 1 and res.converged
+    # the diagonal-Newton ascent took 143 sweeps here
+    assert res.n_starts == 1 and res.converged and res.sweeps <= 40
     assert res.energy == pytest.approx(want, rel=1e-10)
     assert -1 + 0j in res.points and 1 + 0j in res.points
 
@@ -285,7 +287,8 @@ def test_fekete_segment_is_gauss_lobatto_n64():
 def test_fekete_circle_is_equispaced_n64():
     n = 64
     res = fekete_points(circle(1.0), n, seed=0)
-    assert res.n_starts == 1 and res.converged
+    # the diagonal-Newton ascent took 89 sweeps here
+    assert res.n_starts == 1 and res.converged and res.sweeps <= 40
     assert res.energy == pytest.approx(0.5 * n * math.log(n), rel=1e-10)
     angles = np.sort(np.angle(np.array(res.points)))
     gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
@@ -425,12 +428,67 @@ _compact_sets = st.one_of(
 )
 
 
+def _on_piece(z, piece):
+    """z lies on the piece, up to 1e-12 of its size and distance from 0."""
+    if isinstance(piece, SegmentObstacle):
+        d = piece.z1 - piece.z0
+        s = ((z - piece.z0) / d).real
+        return -1e-12 <= s <= 1.0 + 1e-12 and abs(piece.z0 + s * d - z) <= 1e-12 * (abs(piece.z0) + abs(piece.z1))
+    if isinstance(piece, DiscObstacle):
+        return abs(abs(z - piece.center) - piece.radius) <= 1e-12 * (abs(piece.center) + piece.radius)
+    off_centre = abs(math.remainder(cmath.phase(z) - piece.center_angle, 2.0 * math.pi))
+    return abs(abs(z) - piece.radius) <= 1e-12 * piece.radius and off_centre <= piece.half_width + 1e-12
+
+
 # a fifth of the profile's examples: each one runs up to 8 serial starts
 @settings(max_examples=settings.default.max_examples // 5, deadline=None)
 @given(cs=_compact_sets, extra=st.integers(0, 15), seed=st.integers(0, 2**16))
 def test_fekete_batched_ascent_matches_serial_reference(cs, extra, seed):
     n = max(2, min(len(cs.pieces) + extra, 16))
-    assert _fields(fekete_points(cs, n, seed=seed)) == _serial_fekete(cs, n, seed)
+    res, ref = fekete_points(cs, n, seed=seed), _serial_fekete(cs, n, seed)
+    if len(cs.pieces) > 1:
+        # a union takes the diagonal step only, bit for bit
+        assert _fields(res) == ref
+        return
+    # one piece takes the exact Newton step: it converges, to no lower energy
+    assert res.converged
+    assert res.energy >= ref["energy"] - 1e-12 * (1.0 + abs(ref["energy"]))
+    assert all(_on_piece(z, cs.pieces[0]) for z in res.points)
+
+
+def _counting_diagonal_steps(monkeypatch):
+    calls = []
+
+    def steps(*args):
+        calls.append(args)
+        return diagonal(*args)
+
+    diagonal = capacity._steps
+    monkeypatch.setattr(capacity, "_steps", steps)
+    return calls
+
+
+def test_fekete_one_piece_newton_falls_back_to_the_diagonal_step(monkeypatch):
+    # on the second sweep the Newton step moves the upper end point past 1,
+    # and the middle point after it; projected back onto 1, the end point
+    # leaves the middle point too close, and no halving raises the energy
+    calls = _counting_diagonal_steps(monkeypatch)
+    segment = CompactSet((SegmentObstacle(-1 + 0j, 1 + 0j),))
+    res = fekete_points(segment, 3, seed=37)
+    assert calls
+    assert res.converged and res.max_gradient < 1e-12
+    # the Fekete points of [-1, 1] for n = 3 are -1, 0 and 1
+    assert res.energy == pytest.approx(math.log(2.0), abs=1e-14)
+    assert res.energy >= _serial_fekete(segment, 3, 37)["energy"] - 1e-12
+
+
+def test_fekete_fallback_is_the_diagonal_step(monkeypatch):
+    # with no Newton halvings every sweep falls back: the one-piece ascent
+    # is then the diagonal one, bit for bit
+    monkeypatch.setattr(capacity, "_NEWTON_HALVINGS", 0)
+    for piece, n in ((SegmentObstacle(-1 + 0j, 1 + 0j), 8), (arc(1.0, 0.0, math.pi / 4), 6), (circle(2.0), 5)):
+        cs = CompactSet((piece,))
+        assert _fields(fekete_points(cs, n, seed=1)) == _serial_fekete(cs, n, 1)
 
 
 def _two_unit_arcs():

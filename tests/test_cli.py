@@ -132,6 +132,29 @@ def test_capacity_family_arc_t_below_the_double_range(capsys):
     assert run_json(capsys, argv)["results"]["closed_form_log"] == "-inf"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--r", "1e-80", "--t", "0.1"],
+        ["gamma", "--r", "1e-80", "--t", "0.1", "--n", "1"],
+        ["phase-diagram", "--r-min", "1e-80", "--r-max", "1e-80"],
+    ],
+    ids=["classify", "gamma", "phase-diagram"],
+)
+def test_float_ratio_past_the_double_range(capsys, argv):
+    # t / r^4 is about 1e319: shown as inf, and r^2 <= t decides the verdict
+    results = run_json(capsys, argv)["results"]
+    if argv[0] == "classify":
+        assert results["report"]["classification"] == "ExhaustiveHenceComplete"
+        assert results["report"]["ratio_n1"] == "inf"
+    elif argv[0] == "gamma":
+        assert results["report"]["verdict"] == "Divergent" and results["ratio"] == "inf"
+    else:
+        assert len(results["rows"]) == 50 * 50
+        assert {row["verdict"] for row in results["rows"]} == {"ExhaustiveHenceComplete"}
+        assert {row["ratio_n1"] for row in results["rows"]} == {"inf"}
+
+
 def test_gamma_numeric_path(capsys):
     record = run_json(capsys, ["gamma", "--r", "1/5", "--t", "1/100", "--numeric", "--kmax", "25"])
     rep = record["results"]["report"]

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from slitdisc.numerics import (
     exact_pow,
+    float_or_inf,
     is_exact,
     le_guarded,
     parse_number,
@@ -21,6 +23,15 @@ def test_parse_number_rational_vs_float():
     w = parse_number("0.125")
     assert w == 0.125 and not is_exact(w)
     assert parse_number(" 3/10 ") == Fraction(3, 10)
+
+
+def test_float_or_inf_rounds_and_saturates():
+    assert float_or_inf(Fraction(1, 3)) == 1 / 3
+    assert float_or_inf(Fraction(1, 10**400)) == 0.0
+    # the halfway point between the largest double and 2^1024 rounds up, to inf
+    assert float_or_inf(Fraction(2**1024 - 2**970 - 1)) == sys.float_info.max
+    assert float_or_inf(Fraction(2**1024 - 2**970)) == math.inf
+    assert float_or_inf(Fraction(-(10**400), 3)) == -math.inf
 
 
 def test_le_guarded_exact_is_exact():
