@@ -20,8 +20,9 @@ until the energy does not fall.  The starts ascend together as the rows of
 one array per piece: every sweep steps, halves and accepts all live starts
 at once, a converged start is frozen, and each start takes the same
 floating-point operations it would take alone.  `sweeps` counts the kept
-start's own iterations.  The equilibrium routine discretizes
-the energy functional over midpoint cells.
+start's own iterations.  The equilibrium routine discretizes the energy
+functional over midpoint cells and solves for the weights on a support
+that drops the cells weighted below zero; a KKT gap guards the result.
 All distance logs inside one circle or segment come from chord formulas so
 near-coincident points keep finite logs.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -512,6 +514,14 @@ def _max_gradient(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) ->
 
 
 def _optimize(pieces: list[_ParamPiece], n: int, seed: int) -> FeketeResult:
+    # a Hessian row sums n pair weights -phi'' of parameter gaps d: 1/d^2, or
+    # 1/(4 sin^2(d/2)) <= (pi/2)^2 / d^2 on an arc.  Starts lie >= 0.4 span / n
+    # apart and the optimum's end gap is about 2.5 span / n^2, so with gaps
+    # >= span / n^2 a row stays below (pi/2)^2 n^5 / span^2: finite while
+    # span > (pi/2) n^2.5 / sqrt(float max), about 2e-152 at n = 8
+    floor = 0.5 * math.pi * n**2.5 / math.sqrt(sys.float_info.max)
+    if not all(pc.span > floor for pc in pieces):
+        raise ValueError(f"the pair weights of {n} points overflow on a piece below {floor:.3e}; use the closed-form capacity path")
     counts = _allocate([pc.arclength for pc in pieces], n)
 
     # on one piece the energy is concave on the ordered cone, so one start
@@ -583,7 +593,7 @@ def fekete_log_capacity(cs: SetLike, n: int, seed: int = 0) -> LogCapacity:
 
 
 class EquilibriumError(RuntimeError):
-    """Raised when the simplex ascent stalls; carries the best iterate."""
+    """Raised when the support solve leaves a KKT gap; carries its weights."""
 
     def __init__(self, message: str, measure: DiscreteMeasure, gap: float):
         super().__init__(message)
@@ -628,55 +638,36 @@ def _energy_matrix(located: list[tuple[_ParamPiece, np.ndarray]], lengths: np.nd
     return K
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _solve_weights(K: np.ndarray, seed: int) -> tuple[np.ndarray, float]:
-    """Maximize w^T K w over the probability simplex.
-
-    The interior stationarity condition is K w = const; when that solve
-    lands inside the simplex it is the exact discrete optimum (the log
-    kernel makes the form concave there).  Otherwise fall back to projected
-    gradient ascent.  Returns the weights and a KKT-gap proxy.
+def _solve_weights(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximize w^T K w over the probability simplex (concave there for the
+    log kernel): solve K[S, S] w_S = 1 and normalise, first on all of K, then
+    on the cells S that were weighted >= 0, until every weight is >= -1e-12.
+    Each repeat drops a cell and keeps one, so there are at most m solves.
+    Returns the weights and the KKT gap max_i (2 K w)_i - w^T (2 K w); a
+    singular block or a zero or non-finite sum gives uniform weights on S
+    and gap inf.
     """
-    n = K.shape[0]
-    try:
-        w = np.linalg.solve(K, np.ones(n))
-        s = float(np.sum(w))
-        if s != 0.0:
-            w = w / s
-            if np.all(w >= -1e-12):
-                w = np.maximum(w, 0.0)
-                return w / np.sum(w), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    rng = np.random.default_rng(seed)
-    w = _project_simplex(np.full(n, 1.0 / n) + 1e-3 * rng.uniform(-0.5 / n, 0.5 / n, size=n))
-    energy = float(w @ K @ w)
-    step = 1.0
-    for _ in range(5000):
-        grad = 2.0 * K @ w
-        cand = _project_simplex(w + step * grad)
-        e_cand = float(cand @ K @ cand)
-        if e_cand > energy:
-            gain = e_cand - energy
-            w, energy = cand, e_cand
-            step *= 1.3
-            if gain < 1e-14 * (1.0 + abs(energy)):
-                break
-        else:
-            step *= 0.5
-            if step < 1e-18:
-                break
-    grad = 2.0 * K @ w
-    # at the optimum every coordinate direction scores <= the attained value
-    gap = float(np.max(grad) - w @ grad)
-    return w, gap
+    m = K.shape[0]
+    support = np.arange(m)
+    w = np.zeros(m)
+    while True:
+        try:
+            # the first solve is on K itself: no m x m copy
+            v = np.linalg.solve(K if len(support) == m else K[np.ix_(support, support)], np.ones(len(support)))
+        except np.linalg.LinAlgError:
+            break
+        s = float(np.sum(v))
+        if s == 0.0 or not math.isfinite(s):
+            break
+        v /= s
+        if np.all(v >= -1e-12):
+            w[support] = np.maximum(v, 0.0)
+            w /= np.sum(w)
+            grad = K @ w
+            return w, 2.0 * float(np.max(grad) - w @ grad)
+        support = support[v >= 0.0]
+    w[support] = 1.0 / len(support)
+    return w, math.inf
 
 
 def _measure(located: list[tuple[_ParamPiece, np.ndarray]], w: np.ndarray) -> DiscreteMeasure:
@@ -684,24 +675,24 @@ def _measure(located: list[tuple[_ParamPiece, np.ndarray]], w: np.ndarray) -> Di
     return DiscreteMeasure(points=tuple(complex(v) for v in z), weights=tuple(float(x) for x in w))
 
 
-def _equilibrium_once(cs: CompactSet, m: int, seed: int) -> tuple[float, list, np.ndarray]:
+def _equilibrium_once(cs: CompactSet, m: int) -> tuple[float, list, np.ndarray]:
     """(energy, located cells, weights) of the solve on m cells.  Only a
-    stalled ascent builds the DiscreteMeasure here, for its EquilibriumError;
+    failed solve builds the DiscreteMeasure here, for its EquilibriumError;
     otherwise _measure builds it, for the one solve that keeps it."""
     mids, lengths, located = _cells(cs, m)
     K = _energy_matrix(located, lengths)
-    w, gap = _solve_weights(K, seed)
+    w, gap = _solve_weights(K)
     energy = float(w @ K @ w)
     if gap > 1e-6 * (1.0 + abs(energy)):
         raise EquilibriumError(
-            f"simplex ascent stalled with optimality gap {gap:.3e} after the iteration budget",
+            f"support solve left a KKT gap of {gap:.3e} on {m} cells",
             _measure(located, w),
             gap,
         )
     return energy, located, w
 
 
-def equilibrium_energy(cs: SetLike, m: int, seed: int = 0) -> tuple[EnergyValue, DiscreteMeasure]:
+def equilibrium_energy(cs: SetLike, m: int) -> tuple[EnergyValue, DiscreteMeasure]:
     """Discretized equilibrium measure and its logarithmic energy.
 
     The set is cut into m midpoint cells; cell interactions use midpoint
@@ -715,8 +706,8 @@ def equilibrium_energy(cs: SetLike, m: int, seed: int = 0) -> tuple[EnergyValue,
         raise ValueError("polar set rejected: no equilibrium measure exists")
     if m < 8:
         raise ValueError("need m >= 8 support candidates")
-    energy, located, w = _equilibrium_once(cs, m, seed)
-    coarse_energy = _equilibrium_once(cs, max(8, m // 2), seed)[0]
+    energy, located, w = _equilibrium_once(cs, m)
+    coarse_energy = _equilibrium_once(cs, max(8, m // 2))[0]
     tol = 2.0 * abs(energy - coarse_energy) + 1e-3
     return EnergyValue(value=energy, tolerance=tol), _measure(located, w)
 

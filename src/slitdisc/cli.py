@@ -221,7 +221,7 @@ def cmd_capacity(args) -> dict:
         results["fekete_n"] = args.fekete_n
         results["fekete_log"] = fekete_log_capacity(shape, args.fekete_n, seed=args.seed).log_value
     if args.equilibrium_m:
-        energy, measure = equilibrium_energy(shape, args.equilibrium_m, seed=args.seed)
+        energy, measure = equilibrium_energy(shape, args.equilibrium_m)
         results["equilibrium_m"] = args.equilibrium_m
         results["equilibrium_energy"] = energy.value
         results["equilibrium_tolerance"] = energy.tolerance
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--fekete-n", type=int, default=0, help="also run the Fekete oracle with n points")
     sp.add_argument("--equilibrium-m", type=int, default=0, help="also run the equilibrium-measure oracle with m cells")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the oracles' random starts")
+    sp.add_argument("--seed", type=int, default=0, help="seed of the Fekete oracle's random starts")
     common(sp)
 
     sp = sub.add_parser("gamma", help="Wiener-type gamma^(n): analytic shells at 0, bracketing quadrature elsewhere")

@@ -166,6 +166,35 @@ def test_fekete_underflowed_arc_advises_closed_form():
     assert both.log_value == alone.log_value
 
 
+@pytest.mark.parametrize("piece", [SegmentObstacle(0j, 1e-200 + 0j), arc(1.0, 0.0, 1e-160)], ids=["segment", "arc"])
+def test_fekete_refuses_a_piece_too_short_for_its_pair_weights(piece):
+    # the pair weights 1/d^2 (segment) and 1/(4 sin^2(d/2)) (arc) of 8 points
+    # overflow: unchecked, no step is finite and 1 sweep reports convergence
+    for call in (fekete_points, fekete_log_capacity):
+        for cs in (piece, CompactSet((circle(3.0), piece))):
+            with pytest.raises(ValueError, match="use the closed-form capacity path"):
+                call(cs, 8)
+    # the equilibrium oracle takes logs only: its error against the closed
+    # form is that of a length-2 segment, and within its tolerance at m = 96
+    for m in (64, 96):
+        energy, _ = equilibrium_energy(piece, m)
+        unit, _ = equilibrium_energy(SegmentObstacle(0j, 2 + 0j), m)
+        error = energy.value - log_capacity(piece).log_value
+        assert error == pytest.approx(unit.value - math.log(0.5), abs=1e-9)
+    assert abs(error) <= energy.tolerance
+
+
+def test_fekete_on_a_short_segment_above_the_floor():
+    # 1e-100 is far above the floor (about 2e-152 at n = 8): the Gauss-Lobatto
+    # optimum of [-1, 1], scaled, as on the unit-size segment
+    unit = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), 8)
+    res = fekete_points(SegmentObstacle(0j, 1e-100 + 0j), 8)
+    assert res.converged and res.sweeps <= 10
+    assert res.energy == pytest.approx(unit.energy + 28 * math.log(0.5e-100), rel=1e-13)
+    lc = fekete_log_capacity(SegmentObstacle(0j, 1e-100 + 0j), 8).log_value
+    assert lc - math.log(0.25e-100) == pytest.approx(fekete_log_capacity(SegmentObstacle(-1 + 0j, 1 + 0j), 8).log_value - math.log(0.5), abs=1e-10)
+
+
 def _outcome(fn, cs):
     try:
         return fn(cs)
@@ -555,7 +584,7 @@ def test_fekete_pinned_disc_segment_arc_n8():
 
 
 def test_equilibrium_circle():
-    energy, measure = equilibrium_energy(circle(1.0), 64, seed=0)
+    energy, measure = equilibrium_energy(circle(1.0), 64)
     # equilibrium energy of the unit circle is log cap = 0
     assert abs(energy.value) <= energy.tolerance
     assert energy.tolerance < 0.05
@@ -563,16 +592,89 @@ def test_equilibrium_circle():
     w = measure.weights
     assert max(w) - min(w) < 1e-10
     assert sum(w) == pytest.approx(1.0, abs=1e-12)
-    energy2, _ = equilibrium_energy(circle(2.0), 64, seed=0)
+    energy2, _ = equilibrium_energy(circle(2.0), 64)
     assert abs(energy2.value - math.log(2.0)) <= energy2.tolerance
 
 
 def test_equilibrium_segment():
-    energy, measure = equilibrium_energy(SegmentObstacle(-1 + 0j, 1 + 0j), 96, seed=0)
+    energy, measure = equilibrium_energy(SegmentObstacle(-1 + 0j, 1 + 0j), 96)
     assert abs(energy.value - math.log(0.5)) <= energy.tolerance
     # equilibrium mass on a segment piles up at the endpoints
     w = measure.weights
     assert w[0] > w[len(w) // 2]
+
+
+def _weights_and_gap(cs, m):
+    """The cells of cs on m cells, and _solve_weights' weights and KKT gap."""
+    _, lengths, located = capacity._cells(capacity._as_set(cs), m)
+    w, gap = capacity._solve_weights(capacity._energy_matrix(located, lengths))
+    return located, w, gap
+
+
+@pytest.mark.parametrize(
+    "cs, want",
+    [
+        (CompactSet((circle(1.0), SegmentObstacle(-0.3 + 0j, 0.3 + 0j))), 0.0),
+        (CompactSet((circle(2.0), arc(1.0, 0.0, 1.0))), math.log(2.0)),
+        (CompactSet((circle(1.0), circle(0.5))), 0.0),
+    ],
+    ids=["circle+segment", "circle+arc", "circle+circle"],
+)
+@pytest.mark.parametrize("m", [64, 128])
+def test_equilibrium_nested_piece_leaves_the_support(cs, want, m):
+    # the full solve weights the inner piece's cells below zero; they leave
+    # the support, and the circle alone carries the uniform measure
+    energy, measure = equilibrium_energy(cs, m)
+    assert abs(energy.value - want) <= energy.tolerance
+    located, w, gap = _weights_and_gap(cs, m)
+    assert gap <= 1e-12
+    assert measure.weights == tuple(w.tolist())
+    outer = len(located[0][1])
+    assert np.all(w[outer:] == 0.0)
+    assert np.ptp(w[:outer]) <= 1e-12
+
+
+def _apart(first, second):
+    """One piece in annulus slot 0 as _piece places it, and an optional second
+    one in slot 1 that is no arc wider than 0.05 + (pi - 0.05) / 4 < 0.83 rad
+    each way: its convex hull stays beyond radius 4 cos(0.83) > 2, so neither
+    piece lies inside the other's hull."""
+    pieces = [_piece(first[0], 0, *first[1:])]
+    if second is not None:
+        kind, a, b, c = second
+        pieces.append(_piece(kind, 1, a, b, c / 4.0 if kind == "arc" else c))
+    return CompactSet(tuple(pieces))
+
+
+_kinds = st.sampled_from(("arc", "segment", "disc"))
+_spec = st.tuples(_kinds, _unit, _unit, _unit)
+_apart_sets = st.builds(_apart, _spec, st.none() | _spec)
+
+
+@given(cs=_apart_sets, m=st.integers(8, 96))
+def test_equilibrium_weights_are_the_full_support_solve(cs, m):
+    # with no piece nested the first solve, on all of K, is the answer bit for bit
+    _, lengths, located = capacity._cells(cs, m)
+    K = capacity._energy_matrix(located, lengths)
+    v = np.linalg.solve(K, np.ones(m))
+    v = v / np.sum(v)
+    assert np.all(v >= -1e-12)
+    v = np.maximum(v, 0.0)
+    w, gap = capacity._solve_weights(K)
+    assert np.array_equal(w, v / np.sum(v))
+    assert gap <= 1e-10
+    assert equilibrium_energy(cs, m)[1].weights == tuple(w.tolist())
+
+
+def test_equilibrium_failed_solve_raises_with_uniform_weights(monkeypatch):
+    # a singular matrix, or weights summing to 0, gives the uniform weights
+    # and an infinite gap, which the KKT guard turns into EquilibriumError
+    w, gap = capacity._solve_weights(np.diag([1.0, -1.0]))
+    assert w.tolist() == [0.5, 0.5] and gap == math.inf
+    monkeypatch.setattr(capacity, "_energy_matrix", lambda located, lengths: np.zeros((len(lengths),) * 2))
+    with pytest.raises(EquilibriumError, match="KKT gap of inf on 16 cells") as err:
+        equilibrium_energy(circle(1.0), 16)
+    assert err.value.gap == math.inf and err.value.measure.weights == (1.0 / 16,) * 16
 
 
 def _energy_matrix_full_pass(located, lengths):

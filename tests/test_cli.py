@@ -86,6 +86,13 @@ def test_capacity_circle_with_fekete_oracle(capsys):
     assert res["fekete_n"] == 12
 
 
+def test_capacity_fekete_refuses_a_piece_too_short_for_its_pair_weights(capsys):
+    # 1/d^2 of 8 points on a 1e-200 segment overflows: the closed form answers
+    assert main(["capacity", "--shape", "segment", "--length", "1e-200", "--fekete-n", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "use the closed-form capacity path" in captured.err
+
+
 def test_gamma_analytic_record(capsys):
     record = run_json(capsys, ["gamma", "--r", "1/5", "--t", "1/100"])
     res = record["results"]

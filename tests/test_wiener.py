@@ -625,6 +625,21 @@ def _probes(dom, z):
     return np.array([_probe(ob, z) for ob in dom.obstacles]).reshape(-1, 4).T
 
 
+def _assert_reciprocal_sums(pieces, recip_sum, upper):
+    """recip_sum, and the sum behind union_log_capacity's upper bound
+    -1 / sum, are sums of the pieces' 1 / (-log cap) in two orders: each lies
+    within the recursive-summation bound of math.fsum of those reciprocals."""
+    logs = [log_capacity(p).log_value for p in pieces]
+    recips = [1.0 / -lv for lv in logs if lv != -math.inf]
+    exact = math.fsum(recips)
+    # a recursive sum of N positive terms is off by at most (N - 1) 2^-53 of
+    # their sum, in any order; fsum's one rounding adds half an ulp
+    bound = (len(recips) - 1) * 2.0**-53 * exact + 0.5 * math.ulp(exact)
+    assert abs(recip_sum - exact) <= bound
+    # the upper bound keeps -1 / sum: inverting it back rounds twice more
+    assert abs(-1.0 / upper - exact) <= bound + 2.0 * 2.0**-53 * exact
+
+
 def _check_split(dom, z, extra_deltas=()):
     """At every probe radius, at twice each dmax (the grid's own breakpoints)
     and at extra_deltas, _TrappedSets gives trapped_obstacles' pieces and
@@ -649,7 +664,7 @@ def _check_split(dom, z, extra_deltas=()):
             lo, up = union_log_capacity(ref)
             assert lower[i] == lo.log_value
             if recip_sum[i] > 0.0:
-                assert -1.0 / recip_sum[i] == pytest.approx(up.log_value, rel=1e-15, abs=0.0)
+                _assert_reciprocal_sums(ref, recip_sum[i], up.log_value)
         else:
             assert lower[i] == -math.inf and recip_sum[i] == 0.0
     chain = grown[::4]
@@ -687,6 +702,12 @@ def test_trapped_split_matches_reference(r, t, k_max, z, near, nudge, deltas):
     rho = float(r) ** near * (1.0 + nudge)
     if rho <= 0.75:
         _check_split(dom, complex(rho * math.cos(nudge), rho * math.sin(nudge)), deltas)
+
+
+def test_trapped_split_sums_reciprocals_in_its_own_order():
+    # at delta = 1.27e-5 (21 trapped pieces) the prefix sum and
+    # union_log_capacity's sum differ by 1.03e-15 relative, within the bound
+    _check_split(build_domain(ParamRT(F(2, 7), F(7, 36)), 28), 0j)
 
 
 HAND_BUILT = DomainSpec(
