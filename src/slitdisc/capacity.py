@@ -7,13 +7,16 @@ sum of n points over the set's parameterization and converts the optimum to a
 transfinite-diameter estimate.  It moves every point at once and keeps the
 parameters of each piece sorted.  On one arc, circle or segment the energy
 is concave on the ordered cone, so one start reaches the unique optimum (the
-Gauss-Lobatto points on a segment), and each sweep takes the exact Newton
-step: the Hessian is minus the graph Laplacian of the pair weights
--phi''(s_i - s_j), so the step is one batched linear solve, scaled to keep
-every point within half the gap to its neighbours, with the end points
-projected onto the piece.  A sweep whose Newton step gains nothing within
-_NEWTON_HALVINGS halvings takes the diagonal step.  A union of several
-pieces, whose Hessian is indefinite, runs _N_STARTS starts of the
+Gauss-Lobatto points on a segment).  That start is the Chebyshev-Lobatto
+quantiles of the piece's equilibrium measure, which the Fekete points follow:
+equispaced on a circle, where it is the optimum, and mostly 3 to 6 sweeps
+from it on an arc or segment.  Each sweep takes the exact Newton step: the
+Hessian is minus the graph Laplacian of the pair weights -phi''(s_i - s_j),
+so the step is one batched linear solve, scaled to keep every point within
+half the gap to its neighbours, with the end points projected onto the
+piece.  A sweep whose Newton step gains nothing within _NEWTON_HALVINGS
+halvings takes the diagonal step.  A union of several
+pieces, whose Hessian is indefinite, runs _N_STARTS seeded starts of the
 safeguarded diagonal-Newton ascent and keeps the first of the highest
 energy: each step is clipped to half the gap to each neighbour and halved
 until the energy does not fall.  The starts ascend together as the rows of
@@ -342,7 +345,27 @@ def _allocate(lengths: Sequence[float], n: int) -> list[int]:
     return (1 + np.bincount(rows[top], minlength=m)).tolist()
 
 
-def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
+def _seeded_params(pieces: list[_ParamPiece], counts: Sequence[int], rng: np.random.Generator | None) -> list[np.ndarray]:
+    """Sorted start parameters of each piece.  One piece starts at the
+    Chebyshev-Lobatto quantiles of its equilibrium measure, where its Fekete
+    points crowd (Fekete-Szego), and takes no rng: arcsine on a segment, arcsine
+    in sin(theta / 2) on an arc, uniform on a full circle.  The end points of an
+    arc or segment sit on lo and hi.  A union jitters one point into each of
+    equal parameter slots, drawn from rng."""
+    if len(pieces) == 1:
+        pc, n = pieces[0], counts[0]
+        if pc.periodic:
+            return [pc.lo + pc.span * np.arange(n) / n]
+        # -cos(pi k / (n - 1)) as a sine of odd argument: exactly -1, 0, 1 and symmetric
+        x = np.sin(0.5 * math.pi * np.arange(1 - n, n, 2) / (n - 1))
+        if pc.kind == "arc":
+            half = 0.5 * pc.span
+            th = pc.lo + half + 2.0 * np.arcsin(math.sin(0.5 * half) * x)
+        else:
+            th = pc.lo + pc.span * (0.5 + 0.5 * x)
+        th = np.clip(th, pc.lo, pc.hi)  # rounding may step past an end; clipping keeps the order
+        th[0], th[-1] = pc.lo, pc.hi
+        return [th]
     out = []
     for pc, cnt in zip(pieces, counts):
         jitter = rng.uniform(0.2, 0.8, size=cnt)
@@ -515,19 +538,27 @@ def _max_gradient(pieces: list[_ParamPiece], params: _Rows, positions: _Rows) ->
 
 def _optimize(pieces: list[_ParamPiece], n: int, seed: int) -> FeketeResult:
     # a Hessian row sums n pair weights -phi'' of parameter gaps d: 1/d^2, or
-    # 1/(4 sin^2(d/2)) <= (pi/2)^2 / d^2 on an arc.  Starts lie >= 0.4 span / n
-    # apart and the optimum's end gap is about 2.5 span / n^2, so with gaps
-    # >= span / n^2 a row stays below (pi/2)^2 n^5 / span^2: finite while
-    # span > (pi/2) n^2.5 / sqrt(float max), about 2e-152 at n = 8
+    # 1/(4 sin^2(d/2)) <= (pi/2)^2 / d^2 on an arc.  Union starts lie >= 0.4
+    # span / n apart, and the end gaps of a one-piece start and of the optimum
+    # are about 2.5 span / n^2, so with gaps >= span / n^2 a row stays below
+    # (pi/2)^2 n^5 / span^2: finite while span > (pi/2) n^2.5 / sqrt(float
+    # max), about 2e-152 at n = 8.  In a
+    # union the cross-piece terms of _slopes divide by |u|^2, u a distance in
+    # the plane, so the same floor holds for the arclength: below it a
+    # piece's points, and a neighbour as near as the piece is long, overflow
+    # 1 / |u|^2.  One piece has no such terms: a tiny circle solves in angle
     floor = 0.5 * math.pi * n**2.5 / math.sqrt(sys.float_info.max)
-    if not all(pc.span > floor for pc in pieces):
+    if not all(pc.span > floor and (len(pieces) == 1 or pc.arclength > floor) for pc in pieces):
         raise ValueError(f"the pair weights of {n} points overflow on a piece below {floor:.3e}; use the closed-form capacity path")
     counts = _allocate([pc.arclength for pc in pieces], n)
 
     # on one piece the energy is concave on the ordered cone, so one start
     # reaches its unique optimum; a union may hold local optima
-    n_starts = 1 if len(pieces) == 1 else _N_STARTS
-    starts = [_seeded_params(pieces, counts, np.random.default_rng((int(seed), s))) for s in range(n_starts)]
+    if len(pieces) == 1:
+        starts = [_seeded_params(pieces, counts, None)]
+    else:
+        starts = [_seeded_params(pieces, counts, np.random.default_rng((int(seed), s))) for s in range(_N_STARTS)]
+    n_starts = len(starts)
     params, positions, energies, sweeps, gains = _ascend(pieces, [np.array(rows) for rows in zip(*starts)])
     k = int(np.argmax(energies))  # the first start of the highest energy
     energy, gain = float(energies[k]), float(gains[k])
@@ -551,7 +582,8 @@ def _optimize(pieces: list[_ParamPiece], n: int, seed: int) -> FeketeResult:
 
 
 def fekete_points(cs: SetLike, n: int, seed: int = 0) -> FeketeResult:
-    """Best found n-point Fekete configuration (deterministic per seed)."""
+    """Best found n-point Fekete configuration (deterministic; the seed moves
+    only the starts of a union)."""
     if n < 2:
         raise ValueError("need n >= 2 points")
     cs = _as_set(cs)

@@ -325,6 +325,34 @@ def cmd_counterexample(args) -> dict:
 # parser
 
 
+class _Given(argparse.Action):
+    """Store the value, as the default action does, and add the option's dest
+    to the namespace's `given`, the options the command line named."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+# per command: options read only under a condition on the others, the
+# condition in words and as a test; naming one where it fails is an error
+_READ_ONLY_WHEN = {
+    "capacity": (("r", "t", "k"), "--shape family-arc", lambda args: args.shape == "family-arc"),
+    "qc": (("t",), "--r", lambda args: args.r is not None),
+    "kernel": (("inner_radius",), "--domain annulus", lambda args: args.domain == "annulus"),
+}
+
+
+def _refuse_unread(args) -> None:
+    """Raise ValueError for the first option given that the command would not read."""
+    if args.command not in _READ_ONLY_WHEN:
+        return
+    dests, condition, holds = _READ_ONLY_WHEN[args.command]
+    given = [d for d in dests if d in getattr(args, "given", ())]
+    if given and not holds(args):
+        raise ValueError(f"--{given[0].replace('_', '-')} is read only with {condition}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process.
@@ -345,12 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--half-width", type=float, default=math.pi, help="arc half-angle in radians")
     sp.add_argument("--length", type=float, default=1.0)
-    sp.add_argument("--r", default="1/8")
-    sp.add_argument("--t", default="1/32")
-    sp.add_argument("--k", type=int, default=1)
+    sp.add_argument("--r", default="1/8", action=_Given, help="family-arc only")
+    sp.add_argument("--t", default="1/32", action=_Given, help="family-arc only")
+    sp.add_argument("--k", type=int, default=1, action=_Given, help="family-arc only")
     sp.add_argument("--fekete-n", type=int, default=0, help="also run the Fekete oracle with n points")
     sp.add_argument("--equilibrium-m", type=int, default=0, help="also run the equilibrium-measure oracle with m cells")
-    sp.add_argument("--seed", type=int, default=0, help="seed of the Fekete oracle's random starts")
+    sp.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the Fekete oracle's union starts; every shape here is one piece, "
+        "which starts at fixed points, so the seed changes no output",
+    )
     common(sp)
 
     sp = sub.add_parser("gamma", help="Wiener-type gamma^(n): analytic shells at 0, bracketing quadrature elsewhere")
@@ -383,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--z", default="0.25")
     sp.add_argument("--r", default=None)
-    sp.add_argument("--t", default="1/32")
+    sp.add_argument("--t", default="1/32", action=_Given, help="read only with --r")
     common(sp)
 
     sp = sub.add_parser("kernel", help="Bergman kernel/metric estimates on validation domains")
     sp.add_argument("--domain", choices=("disc", "punctured", "annulus"), default="disc")
-    sp.add_argument("--inner-radius", default="1/2")
+    sp.add_argument("--inner-radius", default="1/2", action=_Given, help="annulus only")
     sp.add_argument("--max-degree", type=int, default=30)
     sp.add_argument("--min-degree", type=int, default=0)
     sp.add_argument("--radial-order", type=int, default=64)
@@ -408,13 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "out"}
+    return {k: v for k, v in vars(args).items() if k not in ("out", "given")}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _refuse_unread(args)
         out = command(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,13 +112,14 @@ def test_union_bounds():
 
 
 def test_fekete_deterministic_per_seed():
-    c = circle(1.0)
+    # the seed moves the starts of a union only
+    c = CompactSet((arc(1.0, 0.0, 0.5), arc(1.0, math.pi, 0.5)))
     r1 = fekete_points(c, 16, seed=7)
     r2 = fekete_points(c, 16, seed=7)
     assert r1.energy == r2.energy
     assert r1.points == r2.points
     r3 = fekete_points(c, 16, seed=8)
-    # a different seed may land on a rotated optimum; energies still agree closely
+    # a different seed may stop elsewhere on a flat ridge; energies still agree closely
     assert r3.energy == pytest.approx(r1.energy, abs=1e-6)
 
 
@@ -182,6 +185,19 @@ def test_fekete_refuses_a_piece_too_short_for_its_pair_weights(piece):
         error = energy.value - log_capacity(piece).log_value
         assert error == pytest.approx(unit.value - math.log(0.5), abs=1e-9)
     assert abs(error) <= energy.tolerance
+
+
+def test_fekete_refuses_a_union_of_pieces_too_short_for_their_cross_terms():
+    # each disc spans 2 pi in angle, but 1 / |u|^2 between the two overflows:
+    # unchecked, 1 sweep reports convergence with a wrong energy
+    tiny = CompactSet((DiscObstacle(0j, 1e-200), DiscObstacle(3e-200 + 0j, 1e-200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (fekete_points, fekete_log_capacity):
+            with pytest.raises(ValueError, match="use the closed-form capacity path"):
+                call(tiny, 8)
+        # one such disc alone has no cross-piece terms: it solves in angle
+        assert fekete_log_capacity(tiny.pieces[0], 8).log_value == pytest.approx(math.log(1e-200), abs=1e-12)
 
 
 def test_fekete_on_a_short_segment_above_the_floor():
@@ -270,8 +286,9 @@ def test_allocate_rejects_too_few_points():
 
 
 def test_fekete_reports_a_capped_ascent(monkeypatch):
+    # a circle starts at its optimum; a segment at n = 16 takes 5 sweeps
     monkeypatch.setattr(capacity, "_MAX_SWEEPS", 2)
-    res = fekete_points(circle(1.0), 16, seed=0)
+    res = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), 16, seed=0)
     assert res.sweeps == 2 and not res.converged
     assert res.final_gain >= capacity.SWEEP_GAIN_STOP
 
@@ -282,7 +299,7 @@ def test_fekete_max_gradient_tells_converged_from_capped(monkeypatch):
     # pointing outward; only the inward component counts
     segment = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), 64, seed=0)
     monkeypatch.setattr(capacity, "_MAX_SWEEPS", 2)
-    capped = fekete_points(circle(1.0), 16, seed=0)
+    capped = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), 16, seed=0)
     assert converged.converged and not capped.converged
     assert converged.max_gradient < 1e-3 * capped.max_gradient
     assert segment.converged and segment.max_gradient < 1e-3
@@ -307,8 +324,9 @@ def test_fekete_segment_is_gauss_lobatto_n64():
     i, j = np.triu_indices(n, k=1)
     want = float(np.sum(np.log(np.abs(x[i] - x[j]))))
     res = fekete_points(SegmentObstacle(-1 + 0j, 1 + 0j), n, seed=0)
-    # the diagonal-Newton ascent took 143 sweeps here
-    assert res.n_starts == 1 and res.converged and res.sweeps <= 40
+    # the diagonal-Newton ascent took 143 sweeps here; Newton from the
+    # Chebyshev-Lobatto start takes 5
+    assert res.n_starts == 1 and res.converged and res.sweeps <= 8
     assert res.energy == pytest.approx(want, rel=1e-10)
     assert -1 + 0j in res.points and 1 + 0j in res.points
 
@@ -316,19 +334,81 @@ def test_fekete_segment_is_gauss_lobatto_n64():
 def test_fekete_circle_is_equispaced_n64():
     n = 64
     res = fekete_points(circle(1.0), n, seed=0)
-    # the diagonal-Newton ascent took 89 sweeps here
-    assert res.n_starts == 1 and res.converged and res.sweeps <= 40
+    # the diagonal-Newton ascent took 89 sweeps here; the equispaced start is the optimum
+    assert res.n_starts == 1 and res.converged and res.sweeps <= 8
     assert res.energy == pytest.approx(0.5 * n * math.log(n), rel=1e-10)
     angles = np.sort(np.angle(np.array(res.points)))
     gaps = np.diff(np.append(angles, angles[0] + 2.0 * math.pi))
     assert np.ptp(gaps) < 1e-6
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_fekete_circle_solves_in_one_sweep(n):
+    # the equispaced start is already the optimum: the first sweep gains nothing
+    res = fekete_points(circle(1.0), n)
+    assert res.sweeps == 1 and res.converged
+    assert res.energy == pytest.approx(0.5 * n * math.log(n), rel=1e-12)
+    assert fekete_points(circle(1.0), n, seed=5) == res
+
+
+@given(
+    kind=st.sampled_from(("arc", "segment", "disc")),
+    n=st.integers(2, 64),
+    angle=st.floats(-math.pi, math.pi),
+    radius=st.floats(0.5, 2.0),
+    size=st.floats(0.0, 1.0),
+)
+def test_one_piece_start_is_sorted_on_the_piece(kind, n, angle, radius, size):
+    # half-widths and lengths log-uniform from the span floor of n points up
+    floor = 0.5 * math.pi * n**2.5 / math.sqrt(sys.float_info.max)
+    if kind == "arc":
+        piece = arc(radius, angle, (0.5 * floor) ** (1.0 - size) * math.pi**size)
+    elif kind == "segment":
+        piece = SegmentObstacle(0j, floor ** (1.0 - size) * 10.0**size * cmath.exp(1j * angle))
+    else:
+        piece = DiscObstacle(radius * cmath.exp(1j * angle), radius)
+    pieces = capacity._parameterize(CompactSet((piece,)))
+    (pc,) = pieces
+    (th,) = capacity._seeded_params(pieces, [n], None)
+    assert len(th) == n and np.all(np.diff(th) >= 0.0)
+    assert pc.lo <= th[0] and th[-1] <= pc.hi
+    if not pc.periodic:
+        assert th[0] == pc.lo and th[-1] == pc.hi
+    # where the end gap, about 2.5 span / n^2, spans many ulps, no two points tie
+    if pc.span > 64.0 * n * n * math.ulp(max(abs(pc.lo), abs(pc.hi))):
+        assert np.all(np.diff(th) > 0.0)
+
+
+@pytest.mark.parametrize("angle, half_width", [(0.0, 0.4), (0.5, 2.9)])
+def test_one_piece_start_puts_the_arc_ends_on_lo_and_hi(angle, half_width):
+    # the arcsine formula lands 5.6e-17 and 8.9e-16 inside the ends here
+    pieces = capacity._parameterize(CompactSet((arc(1.0, angle, half_width),)))
+    (th,) = capacity._seeded_params(pieces, [8], None)
+    assert (th[0], th[-1]) == (pieces[0].lo, pieces[0].hi)
+
+
+def test_fekete_wide_arc_n64_starts_near_its_optimum():
+    # quantiles of the arc's own measure: 5 sweeps; the segment's arcsine rule
+    # in the angle instead leaves 16
+    res = fekete_points(arc(1.0, 0.3, 3.0), 64)
+    assert res.converged and res.sweeps <= 8 and res.max_gradient < 1e-6
+
+
+def _jittered_starts(pc, n, seed, starts):
+    """The union rule's starts on one piece: one point jittered into each of n equal slots."""
+    rows = []
+    for s in range(starts):
+        jitter = np.random.default_rng((seed, s)).uniform(0.2, 0.8, size=n)
+        rows.append(np.sort(pc.lo + pc.span * (np.arange(n) + jitter) / n))
+    return np.array(rows)
+
+
 def test_fekete_single_start_matches_best_of_eight_seeds():
     # the energy on one arc is concave on the ordered cone: one start suffices
     quarter = arc(1.0, 0.0, math.pi / 4)
     one = fekete_points(quarter, 16, seed=0)
-    best = max(fekete_points(quarter, 16, seed=s).energy for s in range(8))
+    pieces = capacity._parameterize(CompactSet((quarter,)))
+    best = float(np.max(capacity._ascend(pieces, [_jittered_starts(pieces[0], 16, 0, 8)])[2]))
     assert one.n_starts == 1
     assert one.energy == pytest.approx(best, rel=1e-10)
 
@@ -498,17 +578,20 @@ def _counting_diagonal_steps(monkeypatch):
 
 
 def test_fekete_one_piece_newton_falls_back_to_the_diagonal_step(monkeypatch):
-    # on the second sweep the Newton step moves the upper end point past 1,
-    # and the middle point after it; projected back onto 1, the end point
-    # leaves the middle point too close, and no halving raises the energy
+    # the Chebyshev-Lobatto start of n = 3 is the optimum, so the ascent runs
+    # from seed 37's jittered start, one point in each third: on the second
+    # sweep the Newton step moves the upper end point past 1, and the middle
+    # point after it; projected back onto 1, the end point leaves the middle
+    # point too close, and no halving raises the energy
     calls = _counting_diagonal_steps(monkeypatch)
     segment = CompactSet((SegmentObstacle(-1 + 0j, 1 + 0j),))
-    res = fekete_points(segment, 3, seed=37)
+    pieces = capacity._parameterize(segment)
+    params, positions, energy, _, gain = capacity._ascend(pieces, [_jittered_starts(pieces[0], 3, 37, 1)])
     assert calls
-    assert res.converged and res.max_gradient < 1e-12
+    assert gain[0] < capacity.SWEEP_GAIN_STOP and capacity._max_gradient(pieces, params, positions) < 1e-12
     # the Fekete points of [-1, 1] for n = 3 are -1, 0 and 1
-    assert res.energy == pytest.approx(math.log(2.0), abs=1e-14)
-    assert res.energy >= _serial_fekete(segment, 3, 37)["energy"] - 1e-12
+    assert energy[0] == pytest.approx(math.log(2.0), abs=1e-14)
+    assert energy[0] >= _serial_fekete(segment, 3, 37)["energy"] - 1e-12
 
 
 def test_fekete_fallback_is_the_diagonal_step(monkeypatch):

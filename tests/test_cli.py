@@ -329,6 +329,38 @@ def test_capacity_rejects_non_finite_shapes(capsys, argv):
     assert code == 1 and captured.err.startswith("error:") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["qc", "--alpha", "2/3", "--t", "1/16"], "--t"),
+        (["kernel", "--inner-radius", "1/3", "--max-degree", "3"], "--inner-radius"),
+        (["kernel", "--domain", "punctured", "--inner-radius=1/2", "--max-degree", "3"], "--inner-radius"),
+        (["capacity", "--shape", "circle", "--r", "1/5"], "--r"),
+        (["capacity", "--shape", "segment", "--t", "1/32"], "--t"),
+        (["capacity", "--shape", "arc", "--half-width", "0.5", "--k", "2"], "--k"),
+    ],
+    ids=["qc-t", "kernel-disc", "kernel-punctured", "capacity-r", "capacity-t", "capacity-k"],
+)
+def test_option_the_command_would_not_read_exits_one(capsys, argv, option):
+    # named even at its default value: the command line named it
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {option} is read only with " + {
+        "qc": "--r",
+        "kernel": "--domain annulus",
+        "capacity": "--shape family-arc",
+    }[argv[0]] + "\n"
+
+
+def test_options_read_under_their_condition_echo_as_before(capsys):
+    record = run_json(capsys, ["capacity", "--shape", "family-arc", "--r", "1/5", "--t", "1/100", "--k", "2"])
+    assert record["results"]["family"] == {"k": 2, "r": "1/5", "t": "1/100"}
+    assert "given" not in record["config"] and record["config"]["k"] == 2
+    record = run_json(capsys, ["qc", "--alpha", "2/3", "--r", "1/8", "--t", "1/16"])
+    assert record["config"] == {"alpha": "2/3", "command": "qc", "r": "1/8", "t": "1/16", "z": "0.25"}
+    assert record["results"]["source"] == {"r": "1/8", "t": "1/16"}
+
+
 def test_argparse_misuse_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["classify"])  # missing --r/--t
